@@ -24,7 +24,7 @@ from .groups import (
     index2_subgroups_all,
     plus_presentation,
 )
-from .maps import BalanceData, CayleyMap, SkewMorphism
+from .maps import BalanceData, CayleyMap, SkewMorphism, perm_cycles
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ def enumerate_rbcm(
 
     # balanced arm: inverse-closed generating orbits of automorphisms
     for perm in aut_perms:
-        for orbit in _perm_cycles(perm):
+        for orbit in perm_cycles(perm):
             if 0 in orbit:
                 continue
             omega = [G.decode(i) for i in orbit]
@@ -289,22 +289,6 @@ def enumerate_rbcm(
                     f"arc-image count {count} contradicts regularity of {fm.cmap}"
                 )
     return result
-
-
-def _perm_cycles(perm: np.ndarray) -> "list[list[int]]":
-    seen = np.zeros(perm.size, dtype=bool)
-    cycles = []
-    for s in range(perm.size):
-        if seen[s]:
-            continue
-        cyc = []
-        v = s
-        while not seen[v]:
-            seen[v] = True
-            cyc.append(int(v))
-            v = int(perm[v])
-        cycles.append(cyc)
-    return cycles
 
 
 def _orbit(phi: np.ndarray, seed: int) -> "Optional[list[int]]":
@@ -522,7 +506,7 @@ def guided_search_delta(
     # balanced arm
     aut_perms = _delta_aut_perms(G)
     for perm in aut_perms:
-        for orbit in _perm_cycles(perm):
+        for orbit in perm_cycles(perm):
             if 0 in orbit or len(orbit) < 2:
                 continue
             orbit_set = set(orbit)
@@ -686,7 +670,7 @@ def _two_valued_pi_probe(G: Metacyclic, phi: np.ndarray, orbit: "list[int]", t: 
 
 def _perm_order(perm: np.ndarray) -> int:
     out = 1
-    for cycle in _perm_cycles(perm):
+    for cycle in perm_cycles(perm):
         out = out * len(cycle) // np.gcd(out, len(cycle))
     return int(out)
 

@@ -264,9 +264,11 @@ def realize(
     to realize classes outside the canonical ``z1`` range, e.g. when testing
     that ``z`` and ``z + 2^(a-2)`` give isomorphic maps.
 
-    ``full=False`` skips the expensive whole-group verifications (the
-    all-pairs skew law, the orbit identities, genus); the residues, the
-    fixed point for ``(t, d, ell)``, and the congruence checks always run.
+    Both levels run the residues, the fixed point for ``(t, d, ell)``,
+    the congruence checks and the dart certificate of ``maps.check_skew``,
+    which proves the skew law on all ``|G|^2`` pairs in ``O(|G| d)``.
+    ``full=False`` skips the orbit identities, the kernel generation and
+    restriction checks, and genus.
     """
     report = check_necessary(a, b, c)
     if not report.existence:
@@ -369,16 +371,20 @@ def _even_products_match(G: Metacyclic, cmap: CayleyMap, skew: SkewMorphism) -> 
 
 
 def _restriction_is_automorphism(G: Metacyclic, skew: SkewMorphism) -> bool:
-    """phi restricted to its kernel preserves products (sampled + generators)."""
+    """phi permutes its kernel ``K`` and ``phi(k e) = phi(k) phi(e)`` for all
+    ``k`` in ``K`` and ``e`` in ``{a^2, b}``.
+
+    Where ``K = <a^2, b>`` (the ``kernel_is_a2_b`` check), induction on word
+    length in ``a^2, b`` extends this to ``phi(k k') = phi(k) phi(k')`` for
+    all ``k, k'`` in ``K``.
+    """
     kernel = np.flatnonzero(skew.kernel_mask())
     phi = skew.phi
     if not np.array_equal(np.sort(phi[kernel]), kernel):
         return False
-    rng = np.random.default_rng(0)
-    sample = kernel if kernel.size <= 512 else rng.choice(kernel, size=512, replace=False)
-    prod = G.mul_vec(sample[:, None], kernel[None, :])
-    lhs = phi[prod]
-    rhs = G.mul_vec(phi[sample][:, None], phi[kernel][None, :])
+    gens = np.array([G.encode(G.el(2, 0)), G.encode(G.beta())], dtype=np.int64)
+    lhs = phi[G.mul_vec_outer(kernel, gens)]
+    rhs = G.mul_vec_outer(phi[kernel], phi[gens])
     return bool(np.array_equal(lhs, rhs))
 
 
@@ -470,9 +476,13 @@ def _realize_task(args: "tuple[int, int, int, int]") -> RealizedRbcm:
 
 
 def default_workers() -> int:
+    """``RBCM_WORKERS`` if set, else the core count; ValueError if it is not an integer."""
     env = os.environ.get("RBCM_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"RBCM_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -481,9 +491,11 @@ def classify(
 ) -> ClassifyOutcome:
     """Solve, optionally fully verify, and certify distinctness.
 
-    ``verify_level`` is ``"fast"`` (residues, fixed point and congruence
-    checks only) or ``"full"`` (adds the all-pairs skew law, orbit
-    identities, genus, quotient profile and pairwise non-isomorphism).
+    ``verify_level`` is ``"fast"`` (residues, fixed point, congruence
+    checks and the dart certificate, which proves the skew law on all
+    pairs) or ``"full"`` (adds the orbit identities, the kernel generation
+    and restriction checks, genus, the quotient profile and pairwise
+    non-isomorphism).
     Results are ordered by ``z1`` regardless of the worker count.
     """
     if verify_level not in ("fast", "full"):

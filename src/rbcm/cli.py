@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
 import numpy as np
 
 from . import brute, maps
-from .classify import check_necessary, classify as run_classify
+from .classify import check_necessary, classify as run_classify, default_workers
 from .groups import GroupError, Metacyclic, PowerSubgroup, parse_group
 from .maps import MapError, VerificationError
 
@@ -296,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="parallel workers (default: RBCM_WORKERS or all cores)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify maps on D(a,b,c)")
@@ -337,8 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "Optional[list[str]]" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers is None and "RBCM_WORKERS" in os.environ:
-        args.workers = int(os.environ["RBCM_WORKERS"])
+    if args.workers is None:
+        try:
+            args.workers = default_workers()
+        except ValueError as exc:
+            _emit({"error": str(exc)}, f"usage error: {exc}")
+            return EXIT_USAGE
     try:
         return args.func(args)
     except brute.BudgetExceeded as exc:

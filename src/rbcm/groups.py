@@ -197,8 +197,7 @@ class Metacyclic:
         member[frontier] = True
         while frontier.size:
             prod = self.mul_vec(frontier[:, None], gens[None, :]).ravel()
-            prod = np.unique(prod)
-            fresh = prod[~member[prod]]
+            fresh = np.unique(prod[~member[prod]])
             member[fresh] = True
             frontier = fresh
         return np.flatnonzero(member).astype(np.int64)

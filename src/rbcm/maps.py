@@ -113,12 +113,14 @@ class SkewFailure:
 class SkewMorphism:
     """A verified skew-morphism: permutation ``phi`` plus power function ``pi``."""
 
+    #: the dart certificate of ``check_skew`` proves the law on all pairs
+    pair_mode = "exhaustive"
+
     def __init__(self, cmap: CayleyMap, phi: np.ndarray, pi: np.ndarray):
         self.cmap = cmap
         self.group = cmap.group
         self.phi = phi
         self.pi = pi
-        self.pair_mode = "derived"
         self._powers: "dict[int, np.ndarray]" = {1: phi}
 
     def apply(self, g: GroupElement) -> GroupElement:
@@ -164,23 +166,28 @@ class SkewMorphism:
         }
 
 
-#: exhaustive all-pairs verification up to this group order; sampled above
-EXHAUSTIVE_PAIR_LIMIT = 1 << 13
-_SAMPLED_COLUMNS = 64
-
-
-def check_skew(
-    cmap: CayleyMap, phi: "np.ndarray | dict", pairs: str = "auto"
-) -> "SkewMorphism | SkewFailure":
+def check_skew(cmap: CayleyMap, phi: "np.ndarray | dict") -> "SkewMorphism | SkewFailure":
     """Verify a candidate bijection and derive its power function.
 
     For each ``eta`` the probe ``mu0 = omega_1`` pins the only exponent
     ``k`` in ``1..d`` that can work (``phi^k(mu0)`` walks the generator
-    cycle), and that ``k`` is then verified against the ``mu`` side.
-    ``pairs`` controls the verification sweep: ``"exhaustive"`` checks all
-    |G|^2 pairs, ``"sampled"`` checks every ``eta`` against all generators
-    plus a seeded random block of at least a million pairs, and ``"auto"``
-    picks exhaustive up to order ``EXHAUSTIVE_PAIR_LIMIT``.
+    cycle).  The candidate is then certified on every dart ``(eta, i)``,
+    the arc from ``eta`` along ``omega_i``:
+
+        phi(eta omega_i) = phi(eta) omega_(i+pi(eta))
+
+    Applied to a dart and to its reverse ``(eta omega_i, iota(i))``, this
+    gives ``omega_(iota(i) + pi(eta omega_i)) = omega_(i+pi(eta))^-1``, so
+    with distinct generators
+
+        iota(i) + pi(eta omega_i) = iota(i + pi(eta))      (mod d)
+
+    Hence ``(eta, i) -> (phi(eta), i + pi(eta))`` commutes with rotation
+    and with dart reversal and is a map automorphism.  As ``Omega``
+    generates ``G`` the map is regular, and ``phi`` satisfies the skew law
+    for all ``|G|^2`` pairs (Jajcay and Siran, Skew-morphisms of regular
+    Cayley maps, Discrete Math. 2002).  A failure names a dart
+    ``(eta, omega_i)`` at which the law fails.
     """
     G = cmap.group
     N = G.order
@@ -205,46 +212,23 @@ def check_skew(
         return SkewFailure(eta, G.decode(int(mu0)), "phi(eta * mu0) is not phi(eta) * (generator)")
     pi = np.where(probe_pos >= 1, probe_pos, d).astype(np.int64)
 
-    skew = SkewMorphism(cmap, phi, pi)
-    if pairs == "auto":
-        pairs = "exhaustive" if N <= EXHAUSTIVE_PAIR_LIMIT else "sampled"
-    if pairs == "exhaustive":
-        mus = idx
-    elif pairs == "sampled":
-        rng = np.random.default_rng(N * 31 + d)
-        cols = max(_SAMPLED_COLUMNS, -(-1_000_000 // N))
-        mus = np.unique(
-            np.concatenate([cmap.omega_idx, rng.integers(0, N, size=cols)])
-        )
-    else:
-        raise ValueError(f"unknown pair mode {pairs!r}")
-    fail = _verify_law(G, skew, mus)
-    if fail is not None:
-        return fail
-    skew.pair_mode = pairs
-    return skew
-
-
-def _verify_law(G: Metacyclic, skew: SkewMorphism, mus: np.ndarray) -> "Optional[SkewFailure]":
-    """Check ``phi(eta mu) = phi(eta) phi^pi(eta)(mu)`` for all eta and given mus."""
-    phi, pi = skew.phi, skew.pi
-    N = G.order
-    block = max(1, (1 << 22) // max(mus.size, 1))
-    for k in sorted(set(pi.tolist())):
+    block = max(1, (1 << 16) // d)  # rows per block; small blocks stay in cache
+    for k in np.unique(pi):
+        cols = (np.arange(d) + k) % d  # i + pi(eta) on the rows with pi(eta) = k
         rows = np.flatnonzero(pi == k)
-        powk = skew.power(int(k))[mus]
         for start in range(0, rows.size, block):
             etas = rows[start : start + block]
-            lhs = phi[G.mul_vec_outer(etas, mus)]
-            rhs = G.mul_vec_outer(phi[etas], powk)
+            heads = G.mul_vec_outer(etas, cmap.omega_idx)
+            lhs = phi[heads]
+            rhs = G.mul_vec_outer(phi[etas], cmap.omega_idx[cols])
             if not np.array_equal(lhs, rhs):
                 at = np.argwhere(lhs != rhs)[0]
                 return SkewFailure(
                     G.decode(int(etas[at[0]])),
-                    G.decode(int(mus[at[1]])),
-                    "power-function law fails",
+                    cmap.omega[int(at[1])],
+                    "phi(eta * omega_i) is not phi(eta) * omega_(i+pi(eta))",
                 )
-    return None
+    return SkewMorphism(cmap, phi, pi)
 
 
 def _as_perm_array(G: Metacyclic, phi: "np.ndarray | dict") -> np.ndarray:
@@ -731,16 +715,21 @@ class EmbeddingData:
 
 
 def genus(cmap: CayleyMap) -> EmbeddingData:
-    """Face count by rotation tracing and the genus from V - E + F = 2 - 2g.
+    """Face count in closed form and the genus from V - E + F = 2 - 2g.
 
-    Convention: the successor of arc ``(v, omega)`` in its face is the
-    rotation successor of the reversed arc, ``(v omega, rho(omega^-1))``.
-    The mirror convention must give the same genus, and this is asserted.
+    Convention: the successor of arc ``(v, omega_i)`` in its face is the
+    rotation successor of the reversed arc, ``(v omega_i, omega_sigma(i))``
+    with ``sigma(i) = iota(i) + 1``.  The labels of a face walk a cycle
+    ``C`` of ``sigma`` while the vertex is multiplied by
+    ``prod_(j in C) omega_j``, so ``C`` carries ``|G| / ord(prod)`` faces
+    (Richter, Siran, Jajcay, Tucker and Watkins, Cayley maps, JCTB 2005).
+    The mirror convention ``sigma(i) = iota(i) - 1`` must give the same
+    genus, and this is asserted.
     """
-    faces = _face_count(cmap, +1)
-    faces_mirror = _face_count(cmap, -1)
+    faces = _closed_form_faces(cmap, +1)
+    faces_mirror = _closed_form_faces(cmap, -1)
     if faces != faces_mirror:
-        raise VerificationError("face count depends on the tracing orientation")
+        raise VerificationError("face count depends on the orientation")
     V = cmap.group.order
     E = V * cmap.d // 2
     chi = V - E + faces
@@ -752,26 +741,32 @@ def genus(cmap: CayleyMap) -> EmbeddingData:
     return EmbeddingData(V, E, faces, g)
 
 
-def _face_count(cmap: CayleyMap, direction: int) -> int:
+def _closed_form_faces(cmap: CayleyMap, direction: int) -> int:
     G = cmap.group
-    N, d = G.order, cmap.d
-    next_label = (cmap.iota0 + direction) % d
-    dest = np.empty((N, d), dtype=np.int64)
-    idx = G.all_idx()
-    for j in range(d):
-        dest[:, j] = G.mul_vec(idx, cmap.omega_idx[j])
-    fperm = (dest * d + next_label[None, :]).ravel()
-    seen = np.zeros(N * d, dtype=bool)
-    count = 0
-    for a in range(N * d):
-        if seen[a]:
+    faces = 0
+    for cycle in perm_cycles((cmap.iota0 + direction) % cmap.d):
+        prod = G.identity()
+        for j in cycle:
+            prod = G.mul(prod, cmap.omega[j])
+        faces += G.order // G.element_order(prod)
+    return faces
+
+
+def perm_cycles(perm: np.ndarray) -> "list[list[int]]":
+    """The cycles of a permutation array, each from its least point."""
+    seen = np.zeros(perm.size, dtype=bool)
+    cycles = []
+    for s in range(perm.size):
+        if seen[s]:
             continue
-        count += 1
-        b = a
-        while not seen[b]:
-            seen[b] = True
-            b = int(fperm[b])
-    return count
+        cyc = []
+        v = s
+        while not seen[v]:
+            seen[v] = True
+            cyc.append(int(v))
+            v = int(perm[v])
+        cycles.append(cyc)
+    return cycles
 
 
 # -- JSON serialization -----------------------------------------------------------

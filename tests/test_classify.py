@@ -6,6 +6,7 @@ import pytest
 from rbcm import maps
 from rbcm.classify import (
     InternalInconsistency,
+    _restriction_is_automorphism,
     check_necessary,
     classify,
     distinct,
@@ -83,6 +84,14 @@ class TestRealize:
         assert r.checks["skew_law_all_pairs"]
         assert r.checks["kernel_is_a2_b"]
         assert r.checks["pi_on_generators_is_t"]
+
+    def test_restriction_check_rejects_swapped_kernel_images(self):
+        r = realize(7, 3, 4, 0)
+        assert _restriction_is_automorphism(r.cmap.group, r.skew)
+        kernel = np.flatnonzero(r.skew.kernel_mask())
+        x, y = kernel[1], kernel[-1]
+        r.skew.phi[[x, y]] = r.skew.phi[[y, x]]
+        assert not _restriction_is_automorphism(r.cmap.group, r.skew)
 
     def test_phi_construction(self):
         r = realize(7, 3, 4, 0)

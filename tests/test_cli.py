@@ -6,7 +6,7 @@ import pytest
 
 from rbcm import maps
 from rbcm.cli import main
-from rbcm.classify import realize
+from rbcm.classify import default_workers, realize
 from rbcm.groups import Metacyclic
 from rbcm.maps import canonical_json, map_to_json_dict
 
@@ -60,6 +60,14 @@ class TestClassifyCommand:
         assert code == 0
         assert doc["count"] == 0
         assert "c > b" in doc["reason"]
+
+    def test_bad_workers_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("RBCM_WORKERS", "abc")
+        code, doc, _ = run_cli(capsys, "classify", "--a", "7", "--b", "3", "--c", "4")
+        assert code == 2
+        assert "RBCM_WORKERS" in doc["error"]
+        with pytest.raises(ValueError, match="RBCM_WORKERS"):
+            default_workers()
 
     def test_deterministic_output(self, capsys):
         argv = ("classify", "--a", "7", "--b", "3", "--c", "4", "--verify-level", "fast")

@@ -94,7 +94,7 @@ class TestCheckSkew:
 
     def test_exhaustive_law(self):
         cm = cyclic_map(Z5, [1, 2, 4, 3])
-        skew = check_skew(cm, doubling_phi(), pairs="exhaustive")
+        skew = check_skew(cm, doubling_phi())
         G = Z5
         for eta in G.elements():
             for mu in G.elements():
