@@ -12,14 +12,18 @@ i.e. ``a -> a^x1 b^y1`` and ``b -> a^x2 b^y2``, subject to
   ``bt = at - ct = deg2(y1) + ct`` where ``y2 = 1 + 2^(at-ct-1)``.
 
 Parameters are stored generator-wise: the first pair is the image of ``a``,
-the second the image of ``b``.  Composition, inversion, restriction to the
+the second the image of ``b``.  ``aut_group`` holds the whole family as four
+int64 arrays (``AutGroup``), whose ``images`` kernel maps one element under
+every automorphism at once.  Composition, inversion, restriction to the
 index-2 subgroup ``<a^2, b>`` and conjugation into the normal form
 ``sigma(z,1;0,w)`` all live here.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -152,7 +156,7 @@ def as_perm(params: AutoParams) -> np.ndarray:
     ry2 = G.rpow(params.y2)
     gs1 = _geom_table(ry1, n, n)[u]
     gs2 = _geom_table(ry2, n, m)[v]
-    rpow_y1u = _pow_table(G.r, n, m)[(params.y1 * u) % m] if m > 1 else np.int64(1)
+    rpow_y1u = np.array([G.rpow(y) for y in range(m)], dtype=np.int64)[(params.y1 * u) % m]
     x = (params.x1 * gs1 + rpow_y1u * params.x2 * gs2) % n
     y = (params.y1 * u + params.y2 * v) % m
     return x * m + y
@@ -166,13 +170,6 @@ def _geom_table(s: int, mod: int, length: int) -> np.ndarray:
     out = np.zeros(max(length, 1), dtype=np.int64)
     np.cumsum(powers[:-1], out=out[1:])
     return out % mod
-
-
-def _pow_table(s: int, mod: int, length: int) -> np.ndarray:
-    powers = np.ones(length, dtype=np.int64)
-    for i in range(1, length):
-        powers[i] = powers[i - 1] * s % mod
-    return powers
 
 
 def compose(outer: AutoParams, inner: AutoParams) -> AutoParams:
@@ -267,39 +264,72 @@ def inverse(params: AutoParams) -> AutoParams:
     return inv
 
 
-def enumerate_params(group: Metacyclic) -> Iterator[AutoParams]:
-    """All validated parameter tuples, in lexicographic (x1, y1, x2, y2) order."""
+@dataclass(frozen=True, eq=False)
+class AutGroup(Sequence):
+    """All of ``Aut(G)`` as four int64 arrays, one row per ``sigma(x1,y1;x2,y2)``.
+
+    Rows run in lexicographic ``(x1, y1, x2, y2)`` order; indexing a row
+    gives its ``AutoParams``.
+    """
+
+    group: Metacyclic
+    x1: np.ndarray
+    y1: np.ndarray
+    x2: np.ndarray
+    y2: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.x1.size)
+
+    def __getitem__(self, k: int) -> AutoParams:
+        x1, y1, x2, y2 = (int(c[k]) for c in (self.x1, self.y1, self.x2, self.y2))
+        return AutoParams(x1, y1, x2, y2, self.group)
+
+    def __iter__(self) -> Iterator[AutoParams]:
+        for row in zip(self.x1.tolist(), self.y1.tolist(), self.x2.tolist(), self.y2.tolist()):
+            yield AutoParams(*row, self.group)
+
+    def images(self, g_idx: int, rows: "Optional[np.ndarray]" = None) -> np.ndarray:
+        """Encoded image of the element ``g_idx`` under every automorphism, or under ``rows``."""
+        G = self.group
+        n, m = G.n, G.m
+        u, v = divmod(int(g_idx), m)
+        rpow = [G.rpow(y) for y in range(m)]
+        gsu, gsv = (np.array([geom_sum_mod(s, k, n) for s in rpow], dtype=np.int64) for k in (u, v))
+        cols = (self.x1, self.y1, self.x2, self.y2)
+        x1, y1, x2, y2 = cols if rows is None else (c[rows] for c in cols)
+        # apply's factor r^(y1 u) on x2 is 1 here: deg2(r^k - 1) = deg2(k) + ct and
+        # the constraints give deg2(y1) + deg2(x2) + ct >= at
+        x = (x1 * gsu[y1] + x2 * gsv[y2]) % n
+        return x * m + (y1 * u + y2 * v) % m
+
+
+@lru_cache(maxsize=None)
+def aut_group(group: Metacyclic) -> AutGroup:
+    """Every validated parameter tuple, built from the progressions the constraints allow.
+
+    ``x1`` runs over the odd residues, ``y1`` and ``x2`` over the multiples of
+    ``2^(bt-ct)`` and ``2^(at-bt)``, and ``y2`` over its target modulo
+    ``2^mu``, ``mu = min(at-ct, bt)`` (the target depends on ``y1`` in the
+    corner case); one vectorised filter then keeps the odd determinants.
+    """
     at, bt, ct = tilde_exponents(group)
     n, m = group.n, group.m
+    x1 = np.arange(1, n, 2, dtype=np.int64)
     if bt == 0:
-        for x1 in range(1, n, 2):
-            yield AutoParams(x1, 0, 0, 0, group)
-        return
-    x2_step = 1 << max(at - bt, 0)
-    y1_step = 1 << max(bt - ct, 0)
-    mu = min(at - ct, bt)
-    for x1 in range(1, n, 2):
-        for y1 in range(0, m, y1_step):
-            if mu > 0:
-                corner = bt == at - ct and deg2(y1) + ct == at - ct
-                target = (1 + (1 << (at - ct - 1))) if corner else 1
-                y2_candidates = range(target % (1 << mu), m, 1 << mu)
-            else:
-                y2_candidates = range(m)
-            for x2 in range(0, n, x2_step):
-                for y2 in y2_candidates:
-                    p = AutoParams(x1, y1, x2, y2, group)
-                    if validate(p):
-                        yield p
-
-
-_AUT_CACHE: "dict[Metacyclic, list[AutoParams]]" = {}
-
-
-def aut_group(group: Metacyclic) -> "list[AutoParams]":
-    if group not in _AUT_CACHE:
-        _AUT_CACHE[group] = list(enumerate_params(group))
-    return _AUT_CACHE[group]
+        zero = np.zeros_like(x1)
+        return AutGroup(group, x1, zero, zero, zero)
+    y1 = np.arange(0, m, 1 << max(bt - ct, 0), dtype=np.int64)
+    x2 = np.arange(0, n, 1 << max(at - bt, 0), dtype=np.int64)
+    mu = max(min(at - ct, bt), 0)
+    shift = 1 << (at - ct - 1) if bt == at - ct else 0  # the corner case: deg2(y1) = at - 2 ct
+    offset = np.array([1 + shift * (deg2(y) + ct == at - ct) for y in y1.tolist()]) % (1 << mu)
+    y2 = offset[:, None] + (np.arange(m >> mu, dtype=np.int64) << mu)[None, :]
+    # axes (x1, y1, x2, y2 offset); y2 varies with y1 through the corner case
+    grid = (x1[:, None, None, None], y1[None, :, None, None], x2[None, None, :, None],
+            y2[None, :, None, :])
+    keep = (grid[0] * grid[3] - grid[2] * grid[1]) % 2 == 1
+    return AutGroup(group, *(np.broadcast_to(a, keep.shape)[keep] for a in grid))
 
 
 # -- restriction to <a^2, b> and lifting --------------------------------------

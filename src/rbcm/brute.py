@@ -350,7 +350,7 @@ def naive_enumerate_rbcm(
             d = len(omega_set)
             least = min(G.encode(g) for g in omega_set)
             for omega in _balanced_orderings(G, chosen_inv, chosen_pairs, d, least):
-                fm = _check_ordering(G, omega)
+                fm = _reverify(G, omega)
                 if fm is not None:
                     found.append(fm)
 
@@ -361,20 +361,6 @@ def naive_enumerate_rbcm(
         if count != G.order * fm.cmap.d:
             raise AssertionError("arc-image count contradicts regularity")
     return result
-
-
-def _check_ordering(G: Metacyclic, omega: "list[GroupElement]") -> "Optional[FoundMap]":
-    try:
-        cmap = CayleyMap(G, omega)
-    except maps.MapError:
-        return None
-    skew = maps.is_regular(cmap)
-    if skew is None:
-        return None
-    bal = maps.balance_data(cmap)
-    if bal is None:
-        return None
-    return FoundMap(cmap, skew, bal)
 
 
 def _balanced_orderings(

@@ -412,25 +412,28 @@ class DistinctnessCertificate:
 def distinct(realized: "list[RealizedRbcm]") -> DistinctnessCertificate:
     """Prove pairwise non-isomorphism two independent ways.
 
-    Route one is the conjugation calculus: an isomorphism of realized maps
-    conjugates one normal form ``sigma(z,1;0,w)`` into the other, and such a
-    conjugation can shift ``z`` only by multiples of ``2^(a-2)``.  Route two
-    is a direct search over the whole automorphism group.  The two verdicts
-    must agree for every pair.
+    Route one is the closed-form shift rule: the residues ``z`` of two
+    realized classes give isomorphic maps exactly when they agree modulo
+    ``2^(a-2)``.  Route two screens all of ``Aut(G)`` in one pass per map
+    (``maps.isomorphisms``) and verifies every hit on all ``d`` generators.
+    The two verdicts must agree for every pair, and the search must find
+    the relation reflexive and symmetric.
     """
     if len(realized) < 2:
         return DistinctnessCertificate(0, (), ())
     a = realized[0].solution.a
-    mod_shift = 1 << (a - 2)
+    cmaps = [r.cmap for r in realized]
+    hits = maps.isomorphisms(autos.aut_group(cmaps[0].group), cmaps, cmaps)
+    iso = {(i, int(j)) for i, (_, targets) in enumerate(hits) for j in targets}
+    if any((i, i) not in iso for i in range(len(cmaps))) or any((j, i) not in iso for i, j in iso):
+        raise InternalInconsistency("isomorphism search is not reflexive and symmetric")
     shift_route = []
     search_route = []
     for i in range(len(realized)):
         for j in range(i + 1, len(realized)):
             si, sj = realized[i].solution, realized[j].solution
-            dz = (sj.z - si.z) % (1 << (a - 1))
-            calc_distinct = bool(dz % mod_shift)
-            iso = maps.are_isomorphic(realized[i].cmap, realized[j].cmap)
-            search_distinct = iso is None
+            calc_distinct = bool((sj.z - si.z) % (1 << (a - 2)))
+            search_distinct = (i, j) not in iso
             if calc_distinct != search_distinct:
                 raise InternalInconsistency(
                     f"distinctness routes disagree for z1={si.z1}, z1'={sj.z1}"

@@ -1,7 +1,10 @@
 """Command-line front end: JSON on stdout, human summaries on stderr.
 
 Exit codes: 0 success, 1 a requested verification failed, 2 usage or input
-error, 3 a search budget was exceeded (partial output is flagged).
+error, 3 a search budget was exceeded (partial output is flagged), 4 an
+internal inconsistency (a derived identity failed: an engine bug, not bad
+input).  Usage errors and a ``VerificationError`` or
+``InternalInconsistency`` escaping a command print ``{"error": ...}``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import brute, maps
-from .classify import check_necessary, classify as run_classify, default_workers
+from .classify import InternalInconsistency, check_necessary, default_workers
+from .classify import classify as run_classify
 from .groups import GroupError, Metacyclic, PowerSubgroup, parse_group
 from .maps import MapError, VerificationError
 
@@ -22,6 +26,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(doc: dict, summary: str) -> None:
@@ -349,6 +354,12 @@ def main(argv: "Optional[list[str]]" = None) -> int:
     except (GroupError, MapError) as exc:
         _emit({"error": str(exc)}, f"input error: {exc}")
         return EXIT_USAGE
+    except VerificationError as exc:
+        _emit({"error": str(exc)}, f"verification failed: {exc}")
+        return EXIT_VERIFY_FAILED
+    except InternalInconsistency as exc:
+        _emit({"error": str(exc)}, f"internal inconsistency: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

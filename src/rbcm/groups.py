@@ -450,12 +450,6 @@ class IndexTwoPresentation:
             raise GroupError(f"{g} is not in <a, b^2>")
         return self.group.el(g.x, g.y // 2)
 
-    def include_vec(self, idx: np.ndarray) -> np.ndarray:
-        x, y = idx // self.group.m, idx % self.group.m
-        if self.tag == "a2_b":
-            return (2 * x) % self.parent.n * self.parent.m + y
-        return x * self.parent.m + (2 * y) % self.parent.m
-
     def verify(self) -> None:
         """Check ``include`` is an injective homomorphism (exhaustive when small)."""
         G, H = self.parent, self.group

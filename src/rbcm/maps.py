@@ -24,6 +24,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import autos
 from .groups import (
     GroupElement,
     GroupError,
@@ -261,10 +262,6 @@ class BalanceData:
     all_t: "tuple[int, ...]"
     d: int
 
-    @property
-    def is_type_one(self) -> bool:
-        return self.map_type == "I"
-
 
 def balance_data(cmap: CayleyMap) -> "Optional[BalanceData]":
     d = cmap.d
@@ -383,6 +380,7 @@ def are_isomorphic(m1: CayleyMap, m2: CayleyMap) -> "Optional[np.ndarray]":
     Both maps must live on the same group descriptor.  The certificate sends
     ``Omega_1`` onto ``Omega_2`` and intertwines the two rotations, i.e. its
     restriction maps the first generator cycle onto a rotation of the second.
+    It is the first such automorphism in the order of ``autos.aut_group``.
     """
     if m1.group.order != m2.group.order:
         raise MapError("maps on groups of different order cannot be compared")
@@ -394,87 +392,63 @@ def are_isomorphic(m1: CayleyMap, m2: CayleyMap) -> "Optional[np.ndarray]":
     if b1 is not None and b2 is not None:
         if b1.t != b2.t or b1.map_type != b2.map_type:
             return None
-    params_route = _isomorphism_by_params(m1, m2)
-    if params_route is not NotImplemented:
-        return params_route
-    for perm in _automorphism_perms(m1.group):
-        s = _intertwines(m1, m2, perm)
-        if s is not None:
-            return perm
-    return None
-
-
-def _isomorphism_by_params(m1: CayleyMap, m2: CayleyMap) -> "Optional[np.ndarray]":
-    """Automorphism-parameter route with a vectorized two-generator prefilter."""
-    from . import autos
-
-    G = m1.group
     try:
-        params = autos.aut_group(G)
+        aut = autos.aut_group(m1.group)
     except autos.AutomorphismError:
-        return NotImplemented
-    X1 = np.array([p.x1 for p in params], dtype=np.int64)
-    Y1 = np.array([p.y1 for p in params], dtype=np.int64)
-    X2 = np.array([p.x2 for p in params], dtype=np.int64)
-    Y2 = np.array([p.y2 for p in params], dtype=np.int64)
-    img1 = _apply_params_vec(G, X1, Y1, X2, Y2, m1.omega[0])
-    pos1 = m2._pos_of_idx[img1]
-    cand = np.flatnonzero(pos1 >= 0)
-    if cand.size and m1.d > 1:
-        img2 = _apply_params_vec(
-            G, X1[cand], Y1[cand], X2[cand], Y2[cand], m1.omega[1]
-        )
-        want = m2.omega_idx[(pos1[cand] + 1) % m1.d]
-        cand = cand[img2 == want]
-    for k in cand:
-        perm = autos.as_perm(params[int(k)])
-        if _intertwines(m1, m2, perm) is not None:
-            return perm
-    return None
+        from . import brute
+
+        perms = brute.automorphism_perms(m1.group)
+        return next((p for p in perms if _intertwines(m1, m2, p)), None)
+    rows, _ = isomorphisms(aut, [m1], [m2])[0]
+    return autos.as_perm(aut[int(rows[0])]) if rows.size else None
 
 
-def _apply_params_vec(
-    G: Metacyclic,
-    X1: np.ndarray,
-    Y1: np.ndarray,
-    X2: np.ndarray,
-    Y2: np.ndarray,
-    g: GroupElement,
-) -> np.ndarray:
-    """Encoded image of a fixed element under many parameter tuples at once."""
-    from .twoadic import geom_sum_mod
+def isomorphisms(
+    aut: autos.AutGroup, sources: "list[CayleyMap]", targets: "list[CayleyMap]"
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """For each source map, every automorphism that carries it onto a target.
 
-    n, m = G.n, G.m
-    u, v = g.x, g.y
-    gsu = np.array([geom_sum_mod(G.rpow(y), u, n) for y in range(m)], dtype=np.int64)
-    gsv = np.array([geom_sum_mod(G.rpow(y), v, n) for y in range(m)], dtype=np.int64)
-    rp = np.array([pow(G.r, (y * u) % m if m > 1 else 0, n) for y in range(m)], dtype=np.int64)
-    x = (X1 * gsu[Y1] + rp[Y1] * X2 * gsv[Y2]) % n
-    y = (Y1 * u + Y2 * v) % m
-    return x * m + y
+    Returns one ``(rows, target)`` pair of arrays per source: row
+    ``rows[h]`` of ``aut`` maps the source's generator cycle onto a rotation
+    of the cycle of ``targets[target[h]]``; rows come in ascending order.
+    All of ``Aut(G)`` is screened: the images of ``(omega_1, omega_2)`` are
+    looked up in the sorted keys ``omega_p * N + omega_(p+1)`` of every
+    target and position (equal keys expand to their whole range), and each
+    hit is verified on all ``d`` generators.
+    """
+    N = aut.group.order
+    ds = np.array([t.d for t in targets], dtype=np.int64)
+    cycles = np.full((len(targets), int(ds.max())), -1, dtype=np.int64)
+    for j, t in enumerate(targets):
+        cycles[j, : t.d] = t.omega_idx
+    keys = np.concatenate([t.omega_idx * N + np.roll(t.omega_idx, -1) for t in targets])
+    owner = np.repeat(np.arange(len(targets)), ds)
+    pos = np.concatenate([np.arange(t.d) for t in targets])
+    order = np.argsort(keys, kind="stable")
+    keys, owner, pos = keys[order], owner[order], pos[order]
+    is_head = np.zeros(N, dtype=bool)
+    is_head[keys // N] = True
+    out = []
+    for src in sources:
+        w, d = src.omega_idx, src.d
+        first = aut.images(int(w[0]))
+        rows = np.flatnonzero(is_head[first])
+        probe = first[rows] * N + aut.images(int(w[1 % d]), rows)
+        lo = np.searchsorted(keys, probe, "left")
+        count = np.searchsorted(keys, probe, "right") - lo
+        at = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+        rows, j, p = np.repeat(rows, count), owner[at], pos[at]
+        ok = ds[j] == d
+        for s in range(2, d):
+            ok[ok] = aut.images(int(w[s]), rows[ok]) == cycles[j[ok], (p[ok] + s) % d]
+        out.append((rows[ok], j[ok]))
+    return out
 
 
-def _intertwines(m1: CayleyMap, m2: CayleyMap, perm: np.ndarray) -> "Optional[int]":
-    img0 = int(perm[m1.omega_idx[0]])
-    p0 = int(m2._pos_of_idx[img0])
-    if p0 < 0:
-        return None
+def _intertwines(m1: CayleyMap, m2: CayleyMap, perm: np.ndarray) -> bool:
+    p0 = int(m2._pos_of_idx[int(perm[m1.omega_idx[0]])])
     d = m1.d
-    if np.array_equal(perm[m1.omega_idx], m2.omega_idx[(np.arange(d) + p0) % d]):
-        return p0
-    return None
-
-
-def _automorphism_perms(G: Metacyclic) -> Iterable[np.ndarray]:
-    from . import autos, brute
-
-    try:
-        params = autos.aut_group(G)
-    except autos.AutomorphismError:
-        yield from brute.automorphism_perms(G)
-        return
-    for p in params:
-        yield autos.as_perm(p)
+    return p0 >= 0 and np.array_equal(perm[m1.omega_idx], m2.omega_idx[(np.arange(d) + p0) % d])
 
 
 # -- quotient reduction ---------------------------------------------------------

@@ -8,17 +8,22 @@ production certificates rely on, so the tests can compare the two:
   and ``reversal_holds`` checks the dart-reversal condition that the
   certificate derives rather than checks;
 * ``traced_face_count`` follows every dart around its face, against the
-  closed-form count inside ``maps.genus``.
+  closed-form count inside ``maps.genus``;
+* ``enumerate_params`` walks the parameter constraints in nested loops and
+  validates every tuple, against the arrays of ``autos.aut_group``.
 
 The sweep is quadratic in ``|G|`` and the tracing loops in Python over
 every dart; keep them to orders up to ``2^11``.
 """
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
+from rbcm.autos import AutoParams, tilde_exponents, validate
+from rbcm.groups import Metacyclic
 from rbcm.maps import CayleyMap
+from rbcm.twoadic import deg2
 
 
 def probe_power_function(cmap: CayleyMap, phi: np.ndarray) -> np.ndarray:
@@ -97,3 +102,29 @@ def traced_face_count(cmap: CayleyMap, direction: int) -> int:
             seen[b] = True
             b = int(fperm[b])
     return count
+
+
+def enumerate_params(group: Metacyclic) -> Iterator[AutoParams]:
+    """All validated parameter tuples, in lexicographic (x1, y1, x2, y2) order."""
+    at, bt, ct = tilde_exponents(group)
+    n, m = group.n, group.m
+    if bt == 0:
+        for x1 in range(1, n, 2):
+            yield AutoParams(x1, 0, 0, 0, group)
+        return
+    x2_step = 1 << max(at - bt, 0)
+    y1_step = 1 << max(bt - ct, 0)
+    mu = min(at - ct, bt)
+    for x1 in range(1, n, 2):
+        for y1 in range(0, m, y1_step):
+            if mu > 0:
+                corner = bt == at - ct and deg2(y1) + ct == at - ct
+                target = (1 + (1 << (at - ct - 1))) if corner else 1
+                y2_candidates = range(target % (1 << mu), m, 1 << mu)
+            else:
+                y2_candidates = range(m)
+            for x2 in range(0, n, x2_step):
+                for y2 in y2_candidates:
+                    p = AutoParams(x1, y1, x2, y2, group)
+                    if validate(p):
+                        yield p

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from rbcm import autos, brute
 from rbcm.autos import (
     AutoParams,
@@ -21,7 +22,7 @@ from rbcm.autos import (
     simplified_compose_c_ge_b,
     validate,
 )
-from rbcm.groups import DeltaParams, Metacyclic, plus_presentation
+from rbcm.groups import DeltaParams, Metacyclic, parse_group, plus_presentation
 
 L1645 = Metacyclic(16, 4, 5)
 DELTA734 = DeltaParams(7, 3, 4).group()
@@ -154,6 +155,47 @@ class TestCounts:
         G = L1645
         perms = {autos.as_perm(p).tobytes() for p in aut_group(G)}
         assert len(perms) == len(aut_group(G))
+
+
+class TestAutGroup:
+    """The four arrays of ``aut_group`` against the nested-loop enumeration."""
+
+    GROUPS = ["Z8", "Z2xZ4", "L(16,4,5)", "L(32,4,9)", "L(32,8,5)", "D(9,4,5)"]
+
+    @pytest.mark.parametrize("text", GROUPS)
+    def test_rows_equal_oracle_in_order(self, text):
+        G = parse_group(text)
+        auts = aut_group(G)
+        assert all(a.dtype == np.int64 for a in (auts.x1, auts.y1, auts.x2, auts.y2))
+        assert list(auts) == list(oracles.enumerate_params(G))
+        assert all(validate(p) for p in auts)
+
+    @pytest.mark.parametrize("text", ["L(16,4,5)", "L(32,8,5)"])
+    def test_corner_case_rows_present(self, text):
+        # bt = at - ct here, so rows with deg2(y1) = at - 2 ct take y2 = 1 + 2^(at-ct-1)
+        G = parse_group(text)
+        at, bt, ct = autos.tilde_exponents(G)
+        auts = aut_group(G)
+        assert np.any((auts.y2 - 1) % (1 << min(at - ct, bt)))
+
+    @pytest.mark.parametrize("text", GROUPS)
+    def test_images_match_apply(self, text):
+        G = parse_group(text)
+        auts = aut_group(G)
+        local = random.Random(text)  # leaves the module's shared stream as it was
+        rows = np.array(sorted(local.sample(range(len(auts)), min(len(auts), 40))))
+        for g in local.sample(list(G.elements()), min(G.order, 12)):
+            expected = [G.encode(autos.apply(auts[int(k)], g)) for k in rows]
+            assert auts.images(G.encode(g), rows).tolist() == expected
+            assert auts.images(G.encode(g))[rows].tolist() == expected
+
+    def test_sequence_protocol(self):
+        auts = aut_group(L1645)
+        assert auts[-1] == list(auts)[-1]
+        assert auts[0] == identity_params(L1645)
+        with pytest.raises(IndexError):
+            auts[len(auts)]
+        assert aut_group(L1645) is auts  # cached per group
 
 
 class TestRestriction:

@@ -144,6 +144,25 @@ class TestDistinct:
         r = realize(7, 3, 4, 0)
         assert maps.are_isomorphic(r.cmap, r.cmap) is not None
 
+    def test_isomorphic_pair_reported_on_both_routes(self):
+        # z = 35 is z1 = 0 shifted by 2^(a-2): the same class
+        cert = distinct([realize(7, 3, 4, 0), realize(7, 3, 4, z=35)])
+        assert cert.pair_count == 1
+        assert cert.shift_route == cert.search_route == ((0, 4, False),)
+
+    def test_duplicate_map_reported_on_both_routes(self):
+        # the two maps share every key of the sorted table
+        r = realize(7, 3, 4, 1)
+        cert = distinct([r, r])
+        assert cert.shift_route == cert.search_route == ((1, 1, False),)
+
+    def test_search_must_be_reflexive(self, monkeypatch):
+        realized = [realize(7, 3, 4, z1) for z1 in range(2)]
+        empty = np.array([], dtype=np.int64)
+        monkeypatch.setattr(maps, "isomorphisms", lambda aut, s, t: [(empty, empty)] * len(s))
+        with pytest.raises(InternalInconsistency, match="reflexive"):
+            distinct(realized)
+
 
 class TestQuotientCrossCheck:
     @pytest.mark.parametrize("z1", range(4))

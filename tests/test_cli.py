@@ -1,14 +1,15 @@
 """Tests for the command-line interface: exit codes, JSON contracts, determinism."""
 
+import importlib
 import json
 
 import pytest
 
 from rbcm import maps
-from rbcm.cli import main
-from rbcm.classify import default_workers, realize
+from rbcm.cli import EXIT_INTERNAL, EXIT_VERIFY_FAILED, main
+from rbcm.classify import InternalInconsistency, default_workers, realize
 from rbcm.groups import Metacyclic
-from rbcm.maps import canonical_json, map_to_json_dict
+from rbcm.maps import VerificationError, canonical_json, map_to_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +69,24 @@ class TestClassifyCommand:
         assert "RBCM_WORKERS" in doc["error"]
         with pytest.raises(ValueError, match="RBCM_WORKERS"):
             default_workers()
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(VerificationError("tampered check"), EXIT_VERIFY_FAILED),
+         (InternalInconsistency("broken identity"), EXIT_INTERNAL)],
+    )
+    def test_engine_errors_become_json(self, capsys, monkeypatch, error, code):
+        def fail(*args, **kwargs):
+            raise error
+
+        # the package re-exports the function ``classify``; patch the module
+        monkeypatch.setattr(importlib.import_module("rbcm.classify"), "realize", fail)
+        for level in ("fast", "full"):
+            argv = ("--workers", "1", "classify", "--a", "7", "--b", "3", "--c", "4")
+            got, doc, err = run_cli(capsys, *argv, "--verify-level", level)
+            assert got == code
+            assert doc == {"error": str(error)}
+            assert str(error) in err
 
     def test_deterministic_output(self, capsys):
         argv = ("classify", "--a", "7", "--b", "3", "--c", "4", "--verify-level", "fast")

@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from rbcm import maps
-from rbcm.groups import DeltaParams, Metacyclic, PowerSubgroup
+from rbcm import autos, brute, maps
+from rbcm.groups import DeltaParams, Metacyclic, PowerSubgroup, parse_group
 from rbcm.maps import (
     CayleyMap,
     MapError,
@@ -206,6 +206,41 @@ class TestIsomorphism:
     def test_order_mismatch_is_error(self):
         with pytest.raises(MapError, match="different order"):
             are_isomorphic(cyclic_map(Z5, [1, 4]), cyclic_map(Z4, [1, 3]))
+
+    @pytest.mark.parametrize("text", ["Z8", "Z2xZ4", "D(7,3,4)"])
+    def test_batched_search_matches_every_automorphism(self, text):
+        # oracle: every automorphism as a permutation, its image of each
+        # generator cycle looked up among all rotations of all cycles
+        from rbcm.classify import realize
+
+        G = parse_group(text)
+        if text == "D(7,3,4)":
+            found = [realize(7, 3, 4, z1).cmap for z1 in range(4)]
+            found.append(realize(7, 3, 4, z=35).cmap)
+        else:
+            found = [fm.cmap for fm in brute.enumerate_rbcm(G)]
+        cmaps = found + [cm.rotate(1) for cm in found] + found[:1]
+        rotations = {}
+        for j, cm in enumerate(cmaps):
+            for s in range(cm.d):
+                rotations.setdefault(tuple(np.roll(cm.omega_idx, -s).tolist()), []).append(j)
+        aut = autos.aut_group(G)
+        perms = [autos.as_perm(p) for p in aut]
+        hits = maps.isomorphisms(aut, cmaps, cmaps)
+        assert len(hits) == len(cmaps)
+        for src, (rows, targets) in zip(cmaps, hits):
+            want = sorted(
+                (k, j)
+                for k, perm in enumerate(perms)
+                for j in rotations.get(tuple(perm[src.omega_idx].tolist()), [])
+            )
+            assert sorted(zip(rows.tolist(), targets.tolist())) == want
+            assert want
+            for j, cm in enumerate(cmaps):
+                first = min((k for k, t in want if t == j), default=None)
+                perm = are_isomorphic(src, cm)
+                assert (perm is None) == (first is None)
+                assert first is None or np.array_equal(perm, perms[first])
 
 
 class TestQuotient:
