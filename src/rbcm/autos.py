@@ -13,10 +13,12 @@ i.e. ``a -> a^x1 b^y1`` and ``b -> a^x2 b^y2``, subject to
 
 Parameters are stored generator-wise: the first pair is the image of ``a``,
 the second the image of ``b``.  ``aut_group`` holds the whole family as four
-int64 arrays (``AutGroup``), whose ``images`` kernel maps one element under
-every automorphism at once.  Composition, inversion, restriction to the
-index-2 subgroup ``<a^2, b>`` and conjugation into the normal form
-``sigma(z,1;0,w)`` all live here.
+int64 arrays (``AutGroup``).  One vectorised image formula, on the cached
+geometric-sum table of ``groups.geom_table``, serves both ``as_perm`` (one
+automorphism on every element) and ``AutGroup.images`` (one element under
+every automorphism); ``apply`` is the scalar reference.  Composition,
+inversion, restriction to the index-2 subgroup ``<a^2, b>`` and conjugation
+into the normal form ``sigma(z,1;0,w)`` all live here.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .groups import GroupElement, GroupError, IndexTwoPresentation, Metacyclic, plus_presentation
+from .groups import GroupElement, IndexTwoPresentation, Metacyclic, geom_table, plus_presentation
 from .twoadic import INFINITY, deg2, geom_sum_mod
 
 
@@ -148,28 +150,25 @@ def apply(params: AutoParams, g: GroupElement) -> GroupElement:
 
 def as_perm(params: AutoParams) -> np.ndarray:
     """The automorphism as a permutation of encoded elements (vectorized)."""
+    report = validate(params)
+    if not report:
+        raise AutomorphismError(f"{params} is not an automorphism: {'; '.join(report.violations)}")
     G = params.group
-    n, m = G.n, G.m
     idx = G.all_idx()
-    u, v = idx // m, idx % m
-    ry1 = G.rpow(params.y1)
-    ry2 = G.rpow(params.y2)
-    gs1 = _geom_table(ry1, n, n)[u]
-    gs2 = _geom_table(ry2, n, m)[v]
-    rpow_y1u = np.array([G.rpow(y) for y in range(m)], dtype=np.int64)[(params.y1 * u) % m]
-    x = (params.x1 * gs1 + rpow_y1u * params.x2 * gs2) % n
-    y = (params.y1 * u + params.y2 * v) % m
-    return x * m + y
+    return _images(G, params.x1, params.y1, params.x2, params.y2, idx // G.m, idx % G.m)
 
 
-def _geom_table(s: int, mod: int, length: int) -> np.ndarray:
-    """``[u]_s mod `mod``` for ``u = 0 .. length-1`` (cumulative sums of powers)."""
-    powers = np.ones(max(length, 1), dtype=np.int64)
-    for i in range(1, length):
-        powers[i] = powers[i - 1] * s % mod
-    out = np.zeros(max(length, 1), dtype=np.int64)
-    np.cumsum(powers[:-1], out=out[1:])
-    return out % mod
+def _images(G: Metacyclic, x1, y1, x2, y2, u, v) -> np.ndarray:
+    """Encoded image of ``a^u b^v`` under ``sigma(x1,y1;x2,y2)``, broadcasting over arrays.
+
+    It leaves out ``apply``'s factor ``r^(y1 u)`` on ``x2``, which is 1 on
+    every valid tuple: ``deg2(r^k - 1) = deg2(k) + ct`` and the constraints
+    give ``deg2(y1) + deg2(x2) + ct >= at``.
+    """
+    n, m = G.n, G.m
+    table = geom_table(G)
+    x = (x1 * table[y1, u] + x2 * table[y2, v % n]) % n
+    return x * m + (y1 * u + y2 * v) % m
 
 
 def compose(outer: AutoParams, inner: AutoParams) -> AutoParams:
@@ -291,17 +290,10 @@ class AutGroup(Sequence):
 
     def images(self, g_idx: int, rows: "Optional[np.ndarray]" = None) -> np.ndarray:
         """Encoded image of the element ``g_idx`` under every automorphism, or under ``rows``."""
-        G = self.group
-        n, m = G.n, G.m
-        u, v = divmod(int(g_idx), m)
-        rpow = [G.rpow(y) for y in range(m)]
-        gsu, gsv = (np.array([geom_sum_mod(s, k, n) for s in rpow], dtype=np.int64) for k in (u, v))
         cols = (self.x1, self.y1, self.x2, self.y2)
         x1, y1, x2, y2 = cols if rows is None else (c[rows] for c in cols)
-        # apply's factor r^(y1 u) on x2 is 1 here: deg2(r^k - 1) = deg2(k) + ct and
-        # the constraints give deg2(y1) + deg2(x2) + ct >= at
-        x = (x1 * gsu[y1] + x2 * gsv[y2]) % n
-        return x * m + (y1 * u + y2 * v) % m
+        u, v = divmod(int(g_idx), self.group.m)
+        return _images(self.group, x1, y1, x2, y2, u, v)
 
 
 @lru_cache(maxsize=None)

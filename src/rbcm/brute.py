@@ -24,7 +24,7 @@ from .groups import (
     index2_subgroups_all,
     plus_presentation,
 )
-from .maps import BalanceData, CayleyMap, SkewMorphism, perm_cycles
+from .maps import BalanceData, CayleyMap, SkewMorphism, orbit_walk, perm_cycles
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ def enumerate_rbcm(
                     phi = np.empty(G.order, dtype=np.int64)
                     phi[members] = hperm[members]
                     phi[coset] = G.mul_vec(shifted, np.int64(w1))
-                    orbit = _orbit(phi, int(wd))
+                    orbit = orbit_walk(phi, int(wd))
                     if orbit is None:
                         continue
                     omega = [G.decode(i) for i in orbit]
@@ -289,18 +289,6 @@ def enumerate_rbcm(
                     f"arc-image count {count} contradicts regularity of {fm.cmap}"
                 )
     return result
-
-
-def _orbit(phi: np.ndarray, seed: int) -> "Optional[list[int]]":
-    out = []
-    cur = int(phi[seed])
-    while cur != seed:
-        out.append(cur)
-        if len(out) > phi.size:
-            return None
-        cur = int(phi[cur])
-    out.append(seed)
-    return out
 
 
 def _check_time(start: float, budget: SearchBudget, partial) -> None:
@@ -490,7 +478,7 @@ def guided_search_delta(
     found: "list[FoundMap]" = []
 
     # balanced arm
-    aut_perms = _delta_aut_perms(G)
+    aut_perms = [autos.as_perm(p) for p in autos.aut_group(G)]
     for perm in aut_perms:
         for orbit in perm_cycles(perm):
             if 0 in orbit or len(orbit) < 2:
@@ -623,35 +611,22 @@ def guided_search_delta(
                 phi[coset] = G.mul_vec(
                     phi_on_even[G.mul_vec(coset, np.int64(wd_inv))], np.int64(w1)
                 )
-                orbit = _orbit(phi, wd)
+                orbit = orbit_walk(phi, wd)
                 if orbit is None or len(orbit) != d:
                     continue
                 # (P5) the derived power function must take the two values
                 # {1, t}; anything else cannot be a t-balanced map with this
                 # kernel, and skipping it avoids a full verification pass
-                if not _two_valued_pi_probe(G, phi, orbit, t0):
+                omega = [G.decode(i) for i in orbit]
+                pi = maps.power_function_probe(CayleyMap(G, omega, check=False), phi)
+                if not set(np.unique(pi).tolist()) <= {1, t0 % d or d}:
                     continue
-                fm = _reverify(G, [G.decode(i) for i in orbit])
+                fm = _reverify(G, omega)
                 if fm is not None:
                     found.append(fm)
 
     result = _dedupe(found, aut_perms)
     return GuidedResult(result, True, stats)
-
-
-def _two_valued_pi_probe(G: Metacyclic, phi: np.ndarray, orbit: "list[int]", t: int) -> bool:
-    """Probe-derived power function values must all lie in {1, t (mod d)}."""
-    d = len(orbit)
-    t_val = t % d if t % d else d
-    pos_of = np.full(G.order, -1, dtype=np.int64)
-    pos_of[np.array(orbit, dtype=np.int64)] = np.arange(d)
-    mu0 = np.int64(orbit[0])  # phi(omega_d) = omega_1
-    probe = G.mul_vec(G.inv_vec(phi), phi[G.mul_vec(G.all_idx(), mu0)])
-    pos = pos_of[probe]
-    if np.any(pos < 0):
-        return False
-    pi = np.where(pos >= 1, pos, d)
-    return set(np.unique(pi).tolist()) <= {1, t_val}
 
 
 def _perm_order(perm: np.ndarray) -> int:
@@ -668,7 +643,3 @@ def _beta_balance_ok(gam: np.ndarray, d: int, t: int, ell: int, yd: int, m: int)
     i = np.arange(1, d + 1)
     j = (ell + t * i - 1) % d
     return bool(np.all((gam[j] + gam[i - 1] + 2 * yd) % m == 0))
-
-
-def _delta_aut_perms(G: Metacyclic) -> "list[np.ndarray]":
-    return [autos.as_perm(p) for p in autos.aut_group(G)]

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import autos, maps
-from .groups import DeltaParams, GroupElement, GroupError, Metacyclic, PowerSubgroup
+from .groups import DeltaParams, GroupElement, GroupError, Metacyclic, PowerSubgroup, geom_table
 from .maps import (
     AbelianRbcmProfile,
     BalanceData,
@@ -220,17 +220,9 @@ def _build_phi(
     idx = G.all_idx()
     x, y = idx // m, idx % m
     even = x % 2 == 0
-    # geometric sums [X]_r mod 2^(a-1) for X in [0, 2^(a-1))
-    powers = np.ones(mod_x, dtype=np.int64)
-    for i in range(1, mod_x):
-        powers[i] = powers[i - 1] * G.r % mod_x
-    gs = np.zeros(mod_x, dtype=np.int64)
-    np.cumsum(powers[:-1], out=gs[1:])
-    gs %= mod_x
-
     phi = np.empty(G.order, dtype=np.int64)
     X = x[even] // 2
-    phi_x = 2 * (z * gs[X] % mod_x)
+    phi_x = 2 * (z * geom_table(G)[1, X] % mod_x)
     phi_y = (X + w * y[even]) % m
     phi[even] = phi_x * m + phi_y
 
@@ -241,18 +233,6 @@ def _build_phi(
     h = G.mul_vec(odd_idx, np.int64(G.encode(G.inv(omega_d))))
     phi[~even] = G.mul_vec(phi[h], np.int64(G.encode(omega_1)))
     return phi, omega_d, omega_1
-
-
-def _orbit_of(G: Metacyclic, phi: np.ndarray, seed: int) -> "list[int]":
-    out = []
-    cur = int(phi[seed])
-    while cur != seed:
-        out.append(cur)
-        cur = int(phi[cur])
-        if len(out) > G.order:
-            raise InternalInconsistency("orbit failed to close")
-    out.append(seed)
-    return out
 
 
 def realize(
@@ -291,7 +271,9 @@ def realize(
     for _ in range(8):
         u_tilde, u1, v1 = _residues_for(a, b, c, z, w, ell)
         phi, omega_d, omega_1 = _build_phi(G, a, b, z, w, u_tilde, u1, v1)
-        orbit_idx = _orbit_of(G, phi, G.encode(omega_d))
+        orbit_idx = maps.orbit_walk(phi, G.encode(omega_d))
+        if orbit_idx is None:
+            raise InternalInconsistency("orbit failed to close")
         omega = [G.decode(i) for i in orbit_idx]
         cmap = CayleyMap(G, omega)
         bal = maps.balance_data(cmap)

@@ -19,7 +19,7 @@ import numpy as np
 from . import brute, maps
 from .classify import InternalInconsistency, check_necessary, default_workers
 from .classify import classify as run_classify
-from .groups import GroupError, Metacyclic, PowerSubgroup, parse_group
+from .groups import DeltaParams, GroupError, Metacyclic, PowerSubgroup, parse_group
 from .maps import MapError, VerificationError
 
 EXIT_OK = 0
@@ -106,10 +106,10 @@ def cmd_bruteforce(args: argparse.Namespace) -> int:
     try:
         if args.guided:
             G = parse_group(args.group)
-            n_exp = G.n.bit_length() - 1
-            m_exp = G.m.bit_length() - 1
-            c_exp = (G.r - 1).bit_length() - 1
-            result = brute.guided_search_delta(n_exp, m_exp, c_exp, budget)
+            params = DeltaParams.of(G)
+            if params is None:
+                raise GroupError(f"--guided needs a D(a,b,c) group, got {G}")
+            result = brute.guided_search_delta(params.a, params.b, params.c, budget)
             found = result.found
             doc_extra = {"exhausted": result.exhausted, "stats": result.stats}
         else:
@@ -276,10 +276,9 @@ def cmd_info(args: argparse.Namespace) -> int:
         "abelianization": list(abelianization_invariants(G)),
         "index2_subgroups": [s.tag for s in index2_subgroups_all(G)],
     }
-    if args.group.strip().startswith("D("):
-        inner = args.group.strip()[2:-1].split(",")
-        a, b, c = (int(v) for v in inner)
-        report = check_necessary(a, b, c)
+    params = DeltaParams.of(G)
+    if params is not None:
+        report = check_necessary(params.a, params.b, params.c)
         doc["classification"] = {
             "existence": report.existence,
             "reason": report.reason,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -215,6 +215,30 @@ class Metacyclic:
         return PermRepresentation(self)
 
 
+@lru_cache(maxsize=None)
+def geom_table(group: Metacyclic) -> np.ndarray:
+    """Read-only ``T[y, u] = [u]_(r^y) mod n`` of shape ``(m, n)``, cached per group.
+
+    Row ``y`` holds the prefix sums of the powers of ``r^y``; the powers are
+    filled by doubling, ``(r^y)^(k+j) = (r^y)^j (r^y)^k``.  When ``n`` is a
+    power of two, ``[u + n]_s = [u]_s (mod n)`` for every odd ``s``, so
+    ``T[y, u % n]`` serves any ``u >= 0``.
+    """
+    n, m = group.n, group.m
+    powers = np.ones((m, n), dtype=np.int64)
+    k = 1
+    while k < n:
+        step = group._rpow_table[(np.arange(m) * k) % m][:, None]  # (r^y)^k
+        width = min(k, n - k)
+        powers[:, k : k + width] = powers[:, :width] * step % n
+        k *= 2
+    table = np.zeros((m, n), dtype=np.int64)
+    np.cumsum(powers[:, :-1], axis=1, out=table[:, 1:])
+    table %= n
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """``a^x b^y`` in normal form (``0 <= x < n``, ``0 <= y < m``)."""
@@ -294,7 +318,8 @@ class Subgroup:
         self.index = group.order // order
 
     def contains(self, g: GroupElement) -> bool:
-        raise NotImplementedError
+        self.group._check_member(g)
+        return bool(self.contains_vec(np.int64(self.group.encode(g))))
 
     def __contains__(self, g: GroupElement) -> bool:
         return self.contains(g)
@@ -336,14 +361,6 @@ class ParitySubgroup(Subgroup):
         super().__init__(group, gens, which, group.order // 2)
         self._which = which
 
-    def contains(self, g: GroupElement) -> bool:
-        self.group._check_member(g)
-        if self._which == "a2_b":
-            return g.x % 2 == 0
-        if self._which == "a_b2":
-            return g.y % 2 == 0
-        return (g.x + g.y) % 2 == 0
-
     def contains_vec(self, idx: np.ndarray) -> np.ndarray:
         x, y = idx // self.group.m, idx % self.group.m
         if self._which == "a2_b":
@@ -374,14 +391,6 @@ class PowerSubgroup(Subgroup):
         self.j = j
         self._ak = ak
         self._bj = bj
-
-    def contains(self, g: GroupElement) -> bool:
-        self.group._check_member(g)
-        if g.x % self._ak:
-            return False
-        if self._bj is None:
-            return g.y == 0
-        return g.y % self._bj == 0
 
     def contains_vec(self, idx: np.ndarray) -> np.ndarray:
         x, y = idx // self.group.m, idx % self.group.m
@@ -418,6 +427,22 @@ def index2_subgroups_all(group: Metacyclic) -> "list[Subgroup]":
     return out
 
 
+def _verify_homomorphism(src: Metacyclic, dst: Metacyclic, f_vec, name: str) -> None:
+    """Raise ``GroupError`` unless ``f_vec`` (encoded ``src`` to encoded ``dst``)
+    is a homomorphism.
+
+    Checks ``f(h s) = f(h) f(s)`` for every ``h`` and each generator ``s``
+    of ``src``; induction on word length then gives ``f(h h') = f(h) f(h')``
+    for all ``h, h'``.
+    """
+    idx = src.all_idx()
+    images = f_vec(idx)
+    for gen in (src.alpha(), src.beta()):
+        s = src.encode(gen)
+        if not np.array_equal(f_vec(src.mul_vec(idx, np.int64(s))), dst.mul_vec(images, images[s])):
+            raise GroupError(f"{name} is not a homomorphism at the generator {gen}")
+
+
 # -- index-2 subgroup as a standalone metacyclic group ------------------------
 
 
@@ -436,9 +461,13 @@ class IndexTwoPresentation:
 
     def include(self, h: GroupElement) -> GroupElement:
         self.group._check_member(h)
+        return self.parent.decode(self.include_vec(np.int64(self.group.encode(h))))
+
+    def include_vec(self, idx: np.ndarray) -> np.ndarray:
+        x, y = idx // self.group.m, idx % self.group.m
         if self.tag == "a2_b":
-            return self.parent.el(2 * h.x, h.y)
-        return self.parent.el(h.x, 2 * h.y)
+            return 2 * x * self.parent.m + y
+        return x * self.parent.m + 2 * y
 
     def retract(self, g: GroupElement) -> GroupElement:
         self.parent._check_member(g)
@@ -451,26 +480,11 @@ class IndexTwoPresentation:
         return self.group.el(g.x, g.y // 2)
 
     def verify(self) -> None:
-        """Check ``include`` is an injective homomorphism (exhaustive when small)."""
-        G, H = self.parent, self.group
-        if H.order <= 1 << 12:
-            hs = [self.include(h) for h in H.elements()]
-            if len(set(hs)) != H.order:
-                raise GroupError("inclusion is not injective")
-            import random
-
-            rng = random.Random(0)
-            pairs = (
-                [(h1, h2) for h1 in H.elements() for h2 in H.elements()]
-                if H.order <= 64
-                else [
-                    (H.decode(rng.randrange(H.order)), H.decode(rng.randrange(H.order)))
-                    for _ in range(200)
-                ]
-            )
-            for h1, h2 in pairs:
-                if self.include(H.mul(h1, h2)) != G.mul(self.include(h1), self.include(h2)):
-                    raise GroupError(f"inclusion not a homomorphism at ({h1}, {h2})")
+        """Check that ``include`` is an injective homomorphism."""
+        H = self.group
+        if np.unique(self.include_vec(H.all_idx())).size != H.order:
+            raise GroupError("inclusion is not injective")
+        _verify_homomorphism(H, self.parent, self.include_vec, "inclusion")
 
 
 def plus_presentation(group: Metacyclic, which: str) -> IndexTwoPresentation:
@@ -519,15 +533,8 @@ class QuotientPresentation:
         return (x % self.group.n) * self.group.m + (y % self.group.m)
 
     def verify(self) -> None:
-        """Projection is a homomorphism: checked on generator-left products."""
-        G = self.parent
-        idx = G.all_idx()
-        for gen in (G.alpha(), G.beta()):
-            gi = np.int64(G.encode(gen))
-            lhs = self.project_vec(G.mul_vec(gi, idx))
-            rhs = self.group.mul_vec(self.project_vec(np.array([gi]))[0], self.project_vec(idx))
-            if not np.array_equal(lhs, rhs):
-                raise GroupError("projection is not a homomorphism")
+        """Check that the projection is a homomorphism."""
+        _verify_homomorphism(self.parent, self.group, self.project_vec, "projection")
 
 
 def quotient(group: Metacyclic, xi: PowerSubgroup) -> QuotientPresentation:
@@ -588,6 +595,16 @@ class DeltaParams:
 
     def group(self) -> Metacyclic:
         return Metacyclic(1 << self.a, 1 << self.b, 1 + (1 << self.c))
+
+    @classmethod
+    def of(cls, group: Metacyclic) -> "Optional[DeltaParams]":
+        """The ``(a, b, c)`` with ``D(a,b,c)`` equal to ``group`` as a descriptor, or None."""
+        exps = (group.n.bit_length() - 1, group.m.bit_length() - 1, (group.r - 1).bit_length() - 1)
+        try:
+            params = cls(*exps)
+        except GroupError:
+            return None
+        return params if params.group() == group else None
 
     def __str__(self) -> str:
         return f"D({self.a},{self.b},{self.c})"

@@ -203,15 +203,11 @@ def check_skew(cmap: CayleyMap, phi: "np.ndarray | dict") -> "SkewMorphism | Ske
     if not np.array_equal(phi[cmap.omega_idx], expected):
         raise MapError("candidate does not restrict to rho on the generators")
 
-    idx = G.all_idx()
-    mu0 = cmap.omega_idx[0]
-    probe = G.mul_vec(G.inv_vec(phi), phi[G.mul_vec(idx, mu0)])
-    probe_pos = cmap._pos_of_idx[probe]
-    bad = np.flatnonzero(probe_pos < 0)
+    pi = power_function_probe(cmap, phi)
+    bad = np.flatnonzero(pi == 0)
     if bad.size:
         eta = G.decode(int(bad[0]))
-        return SkewFailure(eta, G.decode(int(mu0)), "phi(eta * mu0) is not phi(eta) * (generator)")
-    pi = np.where(probe_pos >= 1, probe_pos, d).astype(np.int64)
+        return SkewFailure(eta, cmap.omega[0], "phi(eta * mu0) is not phi(eta) * (generator)")
 
     block = max(1, (1 << 16) // d)  # rows per block; small blocks stay in cache
     for k in np.unique(pi):
@@ -230,6 +226,19 @@ def check_skew(cmap: CayleyMap, phi: "np.ndarray | dict") -> "SkewMorphism | Ske
                     "phi(eta * omega_i) is not phi(eta) * omega_(i+pi(eta))",
                 )
     return SkewMorphism(cmap, phi, pi)
+
+
+def power_function_probe(cmap: CayleyMap, phi: np.ndarray) -> np.ndarray:
+    """``pi`` read off the probe ``mu0 = omega_1``, or 0 where the probe fails.
+
+    With ``phi`` restricting to ``rho``, ``phi^k(omega_1) = omega_(1+k)``,
+    so ``phi(eta omega_1) = phi(eta) omega_(1+k)`` pins the only exponent
+    ``k`` in ``1..d`` that the skew law allows at ``eta``.
+    """
+    G = cmap.group
+    probe = G.mul_vec(G.inv_vec(phi), phi[G.mul_vec(G.all_idx(), cmap.omega_idx[0])])
+    pos = cmap._pos_of_idx[probe]
+    return np.where(pos >= 1, pos, np.where(pos == 0, cmap.d, 0))
 
 
 def _as_perm_array(G: Metacyclic, phi: "np.ndarray | dict") -> np.ndarray:
@@ -726,20 +735,30 @@ def _closed_form_faces(cmap: CayleyMap, direction: int) -> int:
     return faces
 
 
+def orbit_walk(perm: np.ndarray, seed: int) -> "Optional[list[int]]":
+    """``perm(seed), perm^2(seed), ..., seed``, or None if the walk does not return to ``seed``."""
+    out = []
+    cur = int(perm[seed])
+    while cur != seed:
+        out.append(cur)
+        if len(out) >= perm.size:
+            return None
+        cur = int(perm[cur])
+    out.append(seed)
+    return out
+
+
 def perm_cycles(perm: np.ndarray) -> "list[list[int]]":
     """The cycles of a permutation array, each from its least point."""
-    seen = np.zeros(perm.size, dtype=bool)
+    seen = bytearray(perm.size)
     cycles = []
     for s in range(perm.size):
-        if seen[s]:
-            continue
-        cyc = []
-        v = s
-        while not seen[v]:
-            seen[v] = True
-            cyc.append(int(v))
-            v = int(perm[v])
-        cycles.append(cyc)
+        if not seen[s]:
+            walk = orbit_walk(perm, s)
+            cycle = walk[-1:] + walk[:-1]
+            for v in cycle:
+                seen[v] = 1
+            cycles.append(cycle)
     return cycles
 
 

@@ -47,6 +47,8 @@ class TestValidate:
     def test_even_x1_fails(self):
         rep = validate(AutoParams(2, 1, 4, 3, L1645))
         assert not rep and any("determinant" in v for v in rep.violations)
+        with pytest.raises(AutomorphismError, match="determinant"):
+            autos.as_perm(AutoParams(2, 1, 4, 3, L1645))
 
     def test_family_hypothesis(self):
         with pytest.raises(AutomorphismError, match="deg2"):
@@ -184,10 +186,12 @@ class TestAutGroup:
         auts = aut_group(G)
         local = random.Random(text)  # leaves the module's shared stream as it was
         rows = np.array(sorted(local.sample(range(len(auts)), min(len(auts), 40))))
+        perms = np.array([autos.as_perm(auts[int(k)]) for k in rows])
         for g in local.sample(list(G.elements()), min(G.order, 12)):
             expected = [G.encode(autos.apply(auts[int(k)], g)) for k in rows]
             assert auts.images(G.encode(g), rows).tolist() == expected
             assert auts.images(G.encode(g))[rows].tolist() == expected
+            assert perms[:, G.encode(g)].tolist() == expected
 
     def test_sequence_protocol(self):
         auts = aut_group(L1645)

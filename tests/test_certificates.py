@@ -15,7 +15,15 @@ import oracles
 from rbcm import brute
 from rbcm.classify import realize
 from rbcm.groups import Metacyclic, parse_group
-from rbcm.maps import CayleyMap, MapError, SkewFailure, SkewMorphism, check_skew, genus
+from rbcm.maps import (
+    CayleyMap,
+    MapError,
+    SkewFailure,
+    SkewMorphism,
+    check_skew,
+    genus,
+    power_function_probe,
+)
 
 SKEW_GROUPS = ("Z8", "Z2xZ4", "L(8,2,3)", "L(16,4,5)")
 GENUS_GROUPS = ("Z4",) + SKEW_GROUPS
@@ -76,6 +84,9 @@ def assert_real_witness(cmap: CayleyMap, phi: np.ndarray, res) -> None:
 @given(data=st.data())
 def test_dart_certificate_matches_pair_sweep(data):
     cmap, phi = tamper(data, *data.draw(st.sampled_from(skew_pool())))
+    # the production probe reads 0 where the oracle finds no exponent (-1)
+    probe = np.maximum(oracles.probe_power_function(cmap, phi), 0)
+    assert np.array_equal(power_function_probe(cmap, phi), probe)
     res = check_skew(cmap, phi)
     pi = oracles.pair_sweep(cmap, phi)
     event("accepted" if pi is not None else "rejected")

@@ -117,6 +117,15 @@ class TestBruteforceCommand:
         code, doc, _ = run_cli(capsys, "bruteforce", "--group", "Q8")
         assert code == 2
 
+    def test_guided_needs_a_delta_descriptor(self, capsys):
+        # L(512,16,97) is isomorphic to D(9,4,5) but is not D(a,b,c) as written;
+        # its bit lengths read (9,4,6), which names another group
+        code, doc, _ = run_cli(
+            capsys, "bruteforce", "--group", "L(512,16,97)", "--guided", "--max-order", "1"
+        )
+        assert code == 2
+        assert "D(a,b,c)" in doc["error"]
+
 
 class TestVerifyCommand:
     def test_roundtrip_ok(self, capsys, z5_map_file):
@@ -195,3 +204,8 @@ class TestInfoCommand:
         code, doc, _ = run_cli(capsys, "info", "--group", "D(7,3,4)")
         assert code == 0
         assert doc["classification"]["existence"] is True
+
+    def test_delta_info_separators(self, capsys):
+        semicolon = run_cli(capsys, "info", "--group", "D(7,3;4)")
+        assert semicolon[0] == 0 and "classification" in semicolon[1]
+        assert run_cli(capsys, "info", "--group", "D(7,3,4)") == semicolon

@@ -8,11 +8,13 @@ import pytest
 from rbcm.groups import (
     DeltaParams,
     GroupError,
+    IndexTwoPresentation,
     Metacyclic,
     PowerSubgroup,
     abelianization_invariants,
     commutator_subgroup_idx,
     format_element,
+    geom_table,
     index2_subgroups,
     index2_subgroups_all,
     parse_element,
@@ -20,6 +22,8 @@ from rbcm.groups import (
     plus_presentation,
     quotient,
 )
+from rbcm.groups import _verify_homomorphism
+from rbcm.twoadic import geom_sum_mod
 
 L823 = Metacyclic(8, 2, 3)
 L1645 = Metacyclic(16, 4, 5)
@@ -41,6 +45,10 @@ class TestDescriptor:
             DeltaParams(6, 3, 4)
         with pytest.raises(GroupError, match="max\\(2, a-b\\)"):
             DeltaParams(8, 3, 4)
+        assert DeltaParams.of(Metacyclic(128, 8, 17)) == DeltaParams(7, 3, 4)
+        # isomorphic to D(9,4,5) but not of the form L(2^a, 2^b; 1+2^c)
+        assert DeltaParams.of(Metacyclic(512, 16, 97)) is None
+        assert DeltaParams.of(Metacyclic(8, 1, 1)) is None
 
     def test_parse(self):
         assert parse_group("L(8,2,3)") == L823
@@ -182,6 +190,16 @@ class TestVectorized:
         for i, r in enumerate(rows):
             assert np.array_equal(outer[i], G.mul_vec(np.int64(r), cols))
 
+    @pytest.mark.parametrize("text", ["Z8", "Z2xZ4", "L(16,4,5)", "L(32,8,5)", "D(7,3,4)"])
+    def test_geom_table_matches_geom_sum_mod(self, text):
+        G = parse_group(text)
+        table = geom_table(G)
+        assert table.shape == (G.m, G.n) and not table.flags.writeable
+        assert table.tolist() == [
+            [geom_sum_mod(G.rpow(y), u, G.n) for u in range(G.n)] for y in range(G.m)
+        ]
+        assert geom_table(G) is table  # cached per group
+
     def test_closure(self):
         assert L823.closure_idx([L823.encode(L823.el(2, 0))]).size == 4
         full = L823.closure_idx([L823.encode(L823.alpha()), L823.encode(L823.beta())])
@@ -254,6 +272,25 @@ class TestPlusPresentation:
             h1 = H.decode(rng.randrange(H.order))
             h2 = H.decode(rng.randrange(H.order))
             assert pres.include(H.mul(h1, h2)) == G.mul(pres.include(h1), pres.include(h2))
+
+    def test_inclusion_checked_on_every_product(self):
+        # r = 33 instead of 65: include(b a^2) != include(b) include(a^2), at an
+        # order (|H| = 2^13) where a sample of pairs can miss it
+        wrong = IndexTwoPresentation(
+            DeltaParams(10, 4, 6).group(), "a2_b", Metacyclic(512, 16, 33)
+        )
+        with pytest.raises(GroupError, match="not a homomorphism"):
+            wrong.verify()
+        plus_presentation(DeltaParams(10, 4, 6).group(), "a2_b").verify()
+        # <a, b^2> of L(8,2,3) is L(8,1,1); with m' = 2 inclusion sends b to a
+        with pytest.raises(GroupError, match="not injective"):
+            IndexTwoPresentation(L823, "a_b2", Metacyclic(8, 2, 1)).verify()
+
+    def test_homomorphism_check_uses_both_generators(self):
+        # (x, y) -> (x, y^2) on Z4 x Z4 respects right products with a, not with b
+        G = Metacyclic(4, 4, 1)
+        with pytest.raises(GroupError, match="generator a\\^0 b\\^1"):
+            _verify_homomorphism(G, G, lambda idx: idx // 4 * 4 + (idx % 4) ** 2 % 4, "f")
 
     def test_retract_roundtrip(self):
         pres = plus_presentation(L1645, "a2_b")

@@ -25,6 +25,8 @@ from rbcm.maps import (
     map_from_json_dict,
     map_to_json_dict,
     normalize_indexing,
+    orbit_walk,
+    perm_cycles,
     quotient_map,
 )
 
@@ -174,6 +176,17 @@ class TestRegularity:
             cm = cyclic_map(G, (1,) + rest)
             regular = is_regular(cm) is not None
             assert regular == (map_automorphism_count(cm) == G.order * cm.d)
+
+
+class TestOrbitWalk:
+    def test_walk_and_cycles(self):
+        perm = np.array([2, 0, 1, 4, 3, 5])
+        assert orbit_walk(perm, 0) == [2, 1, 0]
+        assert perm_cycles(perm) == [[0, 2, 1], [3, 4], [5]]
+
+    def test_walk_that_never_returns(self):
+        # 0 -> 1 -> 2 -> 1 -> ...: not a permutation, and 0 is never reached again
+        assert orbit_walk(np.array([1, 2, 1]), 0) is None
 
 
 class TestGenus:
