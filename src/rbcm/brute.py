@@ -332,7 +332,7 @@ def naive_enumerate_rbcm(
         for pair_mask in range(1 << len(pairs)):
             chosen_pairs = [p for i, p in enumerate(pairs) if pair_mask >> i & 1]
             omega_set = chosen_inv + [g for p in chosen_pairs for g in p]
-            if not omega_set or not G.generates(omega_set):
+            if not omega_set or not G.generates([G.encode(g) for g in omega_set]):
                 continue
             _check_time(start, budget, found)
             d = len(omega_set)
@@ -487,7 +487,7 @@ def guided_search_delta(
             inv = G.inv_vec(np.array(orbit, dtype=np.int64))
             if any(int(i) not in orbit_set for i in inv):
                 continue
-            if G.closure_idx(orbit).size != G.order:
+            if not G.generates(orbit):
                 continue
             fm = _reverify(G, [G.decode(i) for i in orbit])
             if fm is not None:

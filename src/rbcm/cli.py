@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -36,24 +37,18 @@ def _emit(doc: dict, summary: str) -> None:
 
 def _parse_xi(G: Metacyclic, text: str) -> PowerSubgroup:
     """Parse ``a^16`` or ``a^16,b^4`` into the matching power subgroup."""
-    parts = [p.strip() for p in text.split(",")]
-    k = j = None
-    for part in parts:
-        if part.startswith("a^"):
-            val = int(part[2:])
-            k = val.bit_length() - 1
-            if 1 << k != val:
-                raise GroupError(f"a-power {val} is not a power of two")
-        elif part.startswith("b^"):
-            val = int(part[2:])
-            j = val.bit_length() - 1
-            if 1 << j != val:
-                raise GroupError(f"b-power {val} is not a power of two")
-        else:
+    exps: "dict[str, int]" = {}
+    for part in (p.strip() for p in text.split(",")):
+        match = re.fullmatch(r"([ab])\^(\d+)", part)
+        if not match:
             raise GroupError(f"cannot parse subgroup part {part!r}")
-    if k is None:
+        letter, val = match.group(1), int(match.group(2))
+        if val < 1 or val & (val - 1):
+            raise GroupError(f"{letter}-power {val} is not a positive power of two")
+        exps[letter] = val.bit_length() - 1
+    if "a" not in exps:
         raise GroupError("subgroup must include an a-power")
-    return PowerSubgroup(G, k, j)
+    return PowerSubgroup(G, exps["a"], exps.get("b"))
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -149,8 +144,9 @@ def _load_map(path: str):
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         cmap, phi_arr, pi_arr = _load_map(args.mapfile)
+        xi = _parse_xi(cmap.group, args.quotient) if args.quotient else None
     except (OSError, json.JSONDecodeError, MapError, GroupError) as exc:
-        _emit({"error": str(exc)}, f"cannot load map: {exc}")
+        _emit({"error": str(exc)}, f"invalid input: {exc}")
         return EXIT_USAGE
     doc = {"command": "verify", "group": str(cmap.group), "valency": cmap.d}
     failures = []
@@ -186,9 +182,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "faces": emb.faces,
         "genus": emb.genus,
     }
-    if args.quotient and skew is not None and bal is not None:
+    if xi is not None and skew is not None and bal is not None:
         try:
-            xi = _parse_xi(cmap.group, args.quotient)
             qres = maps.quotient_map(cmap, skew, xi)
             profile = maps.abelian_profile_check(qres)
             doc["quotient"] = {
@@ -209,6 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_quotient(args: argparse.Namespace) -> int:
     try:
         cmap, phi_arr, _ = _load_map(args.mapfile)
+        xi = _parse_xi(cmap.group, args.xi)
         if phi_arr is None:
             skew = maps.is_regular(cmap)
             if skew is None:
@@ -218,7 +214,6 @@ def cmd_quotient(args: argparse.Namespace) -> int:
             if not isinstance(res, maps.SkewMorphism):
                 raise MapError(f"skew table invalid at ({res.eta}, {res.mu})")
             skew = res
-        xi = _parse_xi(cmap.group, args.xi)
         qres = maps.quotient_map(cmap, skew, xi)
     except (OSError, json.JSONDecodeError, MapError, GroupError) as exc:
         _emit({"error": str(exc)}, f"quotient failed: {exc}")

@@ -202,8 +202,24 @@ class Metacyclic:
             frontier = fresh
         return np.flatnonzero(member).astype(np.int64)
 
-    def generates(self, gens: "list[GroupElement]") -> bool:
-        return self.closure_idx([self.encode(g) for g in gens]).size == self.order
+    def generates(self, gens: "list[int] | np.ndarray") -> bool:
+        """Whether the encoded elements ``gens`` generate the group.
+
+        When ``n`` and ``m`` are powers of two the answer is closed-form.
+        ``a^x b^y -> (x mod 2, y mod 2)`` is then a homomorphism onto
+        ``F_2^k``, where ``k`` counts the factors of order above 1; as the
+        group is ``k``-generated, its kernel is the Frattini subgroup.  By
+        the Burnside basis theorem (Gorenstein, Finite Groups, Thm 5.1.1)
+        ``gens`` generate exactly when their parity vectors span ``F_2^k``,
+        that is, when they take at least ``k`` distinct nonzero values.
+        Other groups fall back to ``closure_idx``.
+        """
+        gens = np.asarray(gens, dtype=np.int64)
+        if self._pow2_masks is None:
+            return self.closure_idx(gens).size == self.order
+        x, y = self._decode_vec(gens)
+        parities = np.bincount((x & 1) * 2 + (y & 1), minlength=4)
+        return np.count_nonzero(parities[1:]) >= (self.n > 1) + (self.m > 1)
 
     # -- permutation representation (left-regular action) --------------------
 
@@ -451,8 +467,9 @@ class IndexTwoPresentation:
     """An index-2 subgroup re-presented as a standalone ``L(n', m'; r')``.
 
     ``include`` and ``retract`` are mutually inverse coordinate maps between
-    the standalone group and the subgroup inside the parent; ``include`` is a
-    verified homomorphism.
+    the standalone group and the subgroup inside the parent; ``verify``
+    certifies both (the scalar forms go through ``include_vec`` and
+    ``retract_vec``).
     """
 
     parent: Metacyclic
@@ -471,24 +488,37 @@ class IndexTwoPresentation:
 
     def retract(self, g: GroupElement) -> GroupElement:
         self.parent._check_member(g)
-        if self.tag == "a2_b":
-            if g.x % 2:
-                raise GroupError(f"{g} is not in <a^2, b>")
-            return self.group.el(g.x // 2, g.y)
-        if g.y % 2:
-            raise GroupError(f"{g} is not in <a, b^2>")
-        return self.group.el(g.x, g.y // 2)
+        return self.group.decode(self.retract_vec(np.int64(self.parent.encode(g))))
+
+    def retract_vec(self, idx: np.ndarray) -> np.ndarray:
+        """Encoded parent elements to encoded elements of the standalone group;
+        ``GroupError`` if any of them lies outside the subgroup."""
+        x, y = idx // self.parent.m, idx % self.parent.m
+        a2_b = self.tag == "a2_b"
+        outside = (x if a2_b else y) % 2 == 1
+        if np.any(outside):
+            g = self.parent.decode(int(np.asarray(idx)[outside].flat[0]))
+            raise GroupError(f"{g} is not in {'<a^2, b>' if a2_b else '<a, b^2>'}")
+        if a2_b:
+            return x // 2 * self.group.m + y
+        return x * self.group.m + y // 2
 
     def verify(self) -> None:
-        """Check that ``include`` is an injective homomorphism."""
+        """Check that ``include`` is an injective homomorphism and ``retract``
+        its inverse on the image."""
         H = self.group
-        if np.unique(self.include_vec(H.all_idx())).size != H.order:
+        idx = H.all_idx()
+        if np.unique(self.include_vec(idx)).size != H.order:
             raise GroupError("inclusion is not injective")
+        if not np.array_equal(self.retract_vec(self.include_vec(idx)), idx):
+            raise GroupError("retraction does not invert the inclusion")
         _verify_homomorphism(H, self.parent, self.include_vec, "inclusion")
 
 
+@lru_cache(maxsize=None)
 def plus_presentation(group: Metacyclic, which: str) -> IndexTwoPresentation:
-    """Standalone presentation of ``<a^2,b>`` or ``<a,b^2>``.
+    """Standalone presentation of ``<a^2,b>`` or ``<a,b^2>``, verified once
+    and cached per group.
 
     ``<a^2,b>`` of ``L(n,m;r)`` is ``L(n/2, m; r)`` and ``<a,b^2>`` is
     ``L(n, m/2; r^2)``.  ``<a^2,ab>`` has no such aligned presentation and is
@@ -526,7 +556,7 @@ class QuotientPresentation:
 
     def project(self, g: GroupElement) -> GroupElement:
         self.parent._check_member(g)
-        return self.group.el(g.x, g.y)
+        return self.group.decode(self.project_vec(np.int64(self.parent.encode(g))))
 
     def project_vec(self, idx: np.ndarray) -> np.ndarray:
         x, y = idx // self.parent.m, idx % self.parent.m

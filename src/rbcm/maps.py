@@ -49,7 +49,13 @@ class VerificationError(AssertionError):
 
 
 class CayleyMap:
-    """``CM(group, omega, rho)`` with ``omega = (omega_1, .., omega_d)`` and ``rho`` the shift."""
+    """``CM(group, omega, rho)`` with ``omega = (omega_1, .., omega_d)`` and ``rho`` the shift.
+
+    ``check`` validates ``omega``: distinct, no identity, closed under
+    inverses, and generating the group.  Generation is certified in closed
+    form (``Metacyclic.generates``: parity vectors spanning ``G/Phi(G)``)
+    on 2-groups, and by ``closure_idx`` on other groups.
+    """
 
     def __init__(self, group: Metacyclic, omega: Iterable[GroupElement], check: bool = True):
         self.group = group
@@ -73,7 +79,7 @@ class CayleyMap:
         if np.any(self.iota0 < 0):
             missing = self.omega[int(np.flatnonzero(self.iota0 < 0)[0])]
             raise MapError(f"not closed under inverses: {missing}^-1 is missing")
-        if self.group.closure_idx(self.omega_idx).size != self.group.order:
+        if not self.group.generates(self.omega_idx):
             raise MapError("generators do not generate the group")
 
     # one-based accessors matching the usual indexing omega_1 .. omega_d

@@ -3,7 +3,9 @@
 The dart certificate of ``maps.check_skew`` is compared with the ``|G|^2``
 pair sweep, and the closed-form face count of ``maps.genus`` with dart
 tracing, on maps of order up to ``2^11``.  One map of order ``2^16`` checks
-that the certificate covers every row block.
+that the certificate covers every row block.  The closed-form generation
+certificate of ``Metacyclic.generates`` is compared with the closure BFS
+``closure_idx`` on random subsets.
 """
 
 from functools import lru_cache
@@ -13,7 +15,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 import oracles
 from rbcm import brute
-from rbcm.classify import realize
+from rbcm.classify import _generates_a2_b, realize
 from rbcm.groups import Metacyclic, parse_group
 from rbcm.maps import (
     CayleyMap,
@@ -28,6 +30,11 @@ from rbcm.maps import (
 SKEW_GROUPS = ("Z8", "Z2xZ4", "L(8,2,3)", "L(16,4,5)")
 GENUS_GROUPS = ("Z4",) + SKEW_GROUPS
 ANY_MAP_GROUPS = ("L(8,2,3)", "L(16,4,5)", "L(16,2,7)", "L(9,3,4)", "L(7,3,2)")
+# 2-groups (closed form), then groups that are not (closure fallback)
+GENERATION_GROUPS = (
+    "Z4", "Z8", "L(1,8,1)", "Z2xZ4", "L(8,2,3)", "L(16,2,7)", "L(16,4,5)",
+    "L(64,8,17)", "D(7,3,4)", "Z3", "L(6,2,5)",
+)
 
 
 @lru_cache(maxsize=None)
@@ -149,3 +156,40 @@ def test_dart_certificate_covers_every_row_block():
     phi[top] = phi[top[::-1]]
     assert np.all(oracles.probe_power_function(cmap, phi) > 0)
     assert_real_witness(cmap, phi, check_skew(cmap, phi))
+
+
+def draw_subset(data, G: Metacyclic, x_step: int = 1) -> np.ndarray:
+    """Up to four encoded elements with ``x`` a multiple of ``x_step``; half
+    the time all of them are pushed into one maximal subgroup (``x`` or
+    ``y`` doubled), so that both verdicts occur often."""
+    xs = data.draw(st.lists(st.integers(0, G.n - 1), max_size=4))
+    ys = data.draw(st.lists(st.integers(0, G.m - 1), min_size=len(xs), max_size=len(xs)))
+    x, y = np.array(xs, dtype=np.int64) * x_step, np.array(ys, dtype=np.int64)
+    squeeze = data.draw(st.sampled_from(["none", "x", "y"]))
+    if squeeze == "x":
+        x = x * 2
+    elif squeeze == "y":
+        y = y * 2
+    return x % G.n * G.m + y % G.m
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_generation_certificate_matches_closure(data):
+    G = parse_group(data.draw(st.sampled_from(GENERATION_GROUPS)))
+    gens = draw_subset(data, G)
+    expected = G.closure_idx(gens).size == G.order
+    event("generates" if expected else "proper subgroup")
+    assert G.generates(gens) == expected
+    assert G.generates(gens.tolist()) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_kernel_generation_matches_closure(data):
+    G = parse_group(data.draw(st.sampled_from(("D(7,3,4)", "L(16,4,5)", "L(8,2,3)", "L(64,8,17)"))))
+    gens = draw_subset(data, G, x_step=data.draw(st.sampled_from([1, 2])))
+    kernel = np.flatnonzero(G.all_idx() // G.m % 2 == 0)
+    expected = np.array_equal(G.closure_idx(gens), kernel)
+    event("generates <a^2, b>" if expected else "does not")
+    assert _generates_a2_b(G, gens) == expected

@@ -6,6 +6,9 @@ import pytest
 from rbcm import maps
 from rbcm.classify import (
     InternalInconsistency,
+    _even_products,
+    _even_products_match,
+    _generates_a2_b,
     _restriction_is_automorphism,
     check_necessary,
     classify,
@@ -92,6 +95,27 @@ class TestRealize:
         x, y = kernel[1], kernel[-1]
         r.skew.phi[[x, y]] = r.skew.phi[[y, x]]
         assert not _restriction_is_automorphism(r.cmap.group, r.skew)
+
+    def test_eta_check_rejects_generators_of_a_b2(self):
+        r = realize(7, 3, 4, 0)
+        G = r.cmap.group
+        assert _generates_a2_b(G, [G.encode(e) for e in r.orbit.eta])
+        # <a, b^2> has the order of <a^2, b>, so a check on the size of the
+        # span alone accepts these generators
+        gens = [G.encode(G.alpha()), G.encode(G.el(0, 2)), G.encode(G.el(3, 4))]
+        assert G.closure_idx(gens).size * 2 == G.order
+        assert not _generates_a2_b(G, gens)
+
+    def test_even_products_check_rejects_product_off_kernel(self):
+        r = realize(7, 3, 4, 0)
+        G = r.cmap.group
+        products = _even_products(G, r.cmap)
+        assert _even_products_match(G, r.skew, products)
+        # their squares lie in ker pi but span only a proper subgroup of it
+        assert not _even_products_match(G, r.skew, G.mul_vec(products, products))
+        products[3] = G.mul_vec(products[3], np.int64(G.encode(G.alpha())))
+        assert r.skew.pi[products[3]] != 1
+        assert not _even_products_match(G, r.skew, products)
 
     def test_phi_construction(self):
         r = realize(7, 3, 4, 0)

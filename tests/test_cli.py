@@ -168,6 +168,11 @@ class TestVerifyCommand:
         assert doc["quotient"]["group"] == "L(16,8,1)"
         assert doc["quotient"]["valency"] == 16
 
+    def test_malformed_quotient_is_a_usage_error(self, capsys, delta_map_file):
+        code, doc, _ = run_cli(capsys, "verify", str(delta_map_file), "--quotient", "a^x")
+        assert code == 2
+        assert "a^x" in doc["error"]
+
     def test_parse_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -184,6 +189,14 @@ class TestQuotientCommand:
         # the emitted quotient map re-verifies from its own JSON
         cm, phi, _ = maps.map_from_json_dict(doc["map"])
         assert isinstance(maps.check_skew(cm, phi), maps.SkewMorphism)
+
+    @pytest.mark.parametrize(
+        "xi, message", [("a^x", "cannot parse"), ("a^0", "positive power of two")]
+    )
+    def test_malformed_subgroup_is_a_usage_error(self, capsys, delta_map_file, xi, message):
+        code, doc, _ = run_cli(capsys, "quotient", str(delta_map_file), "--xi", xi)
+        assert code == 2
+        assert message in doc["error"]
 
 
 class TestGenusCommand:

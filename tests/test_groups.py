@@ -200,6 +200,16 @@ class TestVectorized:
         ]
         assert geom_table(G) is table  # cached per group
 
+    def test_generates_edge_cases(self):
+        trivial = Metacyclic(1, 1, 1)
+        assert trivial.generates([]) and trivial.generates([0])
+        assert not L823.generates([]) and not L823.generates([0])
+        # <a^2, b> is a proper subgroup of L(8,2,3); <ab, b> is all of it
+        a2, b, ab = (L823.encode(L823.el(x, y)) for x, y in ((2, 0), (0, 1), (1, 1)))
+        assert not L823.generates([a2, b]) and L823.generates([ab, b])
+        # one nonzero parity suffices when a factor is trivial
+        assert Metacyclic(1, 8, 1).generates([3]) and not Metacyclic(1, 8, 1).generates([2])
+
     def test_closure(self):
         assert L823.closure_idx([L823.encode(L823.el(2, 0))]).size == 4
         full = L823.closure_idx([L823.encode(L823.alpha()), L823.encode(L823.beta())])
@@ -293,9 +303,19 @@ class TestPlusPresentation:
             _verify_homomorphism(G, G, lambda idx: idx // 4 * 4 + (idx % 4) ** 2 % 4, "f")
 
     def test_retract_roundtrip(self):
-        pres = plus_presentation(L1645, "a2_b")
-        for h in pres.group.elements():
-            assert pres.retract(pres.include(h)) == h
+        for which in ("a2_b", "a_b2"):
+            pres = plus_presentation(L1645, which)
+            for h in pres.group.elements():
+                assert pres.retract(pres.include(h)) == h
+            idx = pres.group.all_idx()
+            assert np.array_equal(pres.retract_vec(pres.include_vec(idx)), idx)
+
+    def test_retract_rejects_non_members(self):
+        with pytest.raises(GroupError, match="a\\^3 b\\^1 is not in <a\\^2, b>"):
+            plus_presentation(L1645, "a2_b").retract(L1645.el(3, 1))
+        pres = plus_presentation(L1645, "a_b2")
+        with pytest.raises(GroupError, match="is not in <a, b\\^2>"):
+            pres.retract_vec(np.array([0, L1645.encode(L1645.el(2, 1))]))
 
     def test_unsupported(self):
         with pytest.raises(GroupError, match="not supported"):
