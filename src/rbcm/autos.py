@@ -83,12 +83,6 @@ class AutoParams:
     def __str__(self) -> str:
         return f"sigma({self.x1},{self.y1};{self.x2},{self.y2})"
 
-    def image_a(self) -> GroupElement:
-        return self.group.el(self.x1, self.y1)
-
-    def image_b(self) -> GroupElement:
-        return self.group.el(self.x2, self.y2)
-
 
 def identity_params(group: Metacyclic) -> AutoParams:
     return AutoParams(1 % group.n, 0, 0, 1 % group.m, group)
@@ -347,7 +341,7 @@ def restrict_to_plus(params: AutoParams) -> PlusRestriction:
         raise AutomorphismError(
             f"{params} does not preserve <a^2, b>: x2 = {params.x2} is odd"
         )
-    pres = plus_presentation(G, "a2_b")
+    pres = plus_presentation(G)
     sub = pres.group
     x1p = params.x1 * (1 + G.rpow(params.y1)) // 2
     restricted = AutoParams(x1p, 2 * params.y1, params.x2 // 2, params.y2, sub)
@@ -368,7 +362,7 @@ def lifts_to_whole(plus_params: AutoParams, parent: Metacyclic) -> bool:
     On ``D(a,b,c)`` the criterion is: the ``y1`` slot is even and
     ``deg2(y2 - 1) >= a - c``.
     """
-    pres = plus_presentation(parent, "a2_b")
+    pres = plus_presentation(parent)
     if plus_params.group != pres.group:
         raise AutomorphismError(
             f"parameters live on {plus_params.group}, expected {pres.group}"
@@ -425,7 +419,7 @@ def conjugate_normal_form(
     ``p1 - q2 = (z - w) q1 (mod 2^b)``; then ``z' = z + p2`` and ``w' = w``.
     Otherwise reports which of the four defining congruences fail.
     """
-    pres = plus_presentation(parent, "a2_b")
+    pres = plus_presentation(parent)
     sub = pres.group
     if tau_plus.group != sub:
         raise AutomorphismError(f"tau+ must live on {sub}")

@@ -21,10 +21,10 @@ from .groups import (
     GroupElement,
     GroupError,
     Metacyclic,
-    index2_subgroups_all,
+    index2_subgroups,
     plus_presentation,
 )
-from .maps import BalanceData, CayleyMap, SkewMorphism, orbit_walk, perm_cycles
+from .maps import BalanceData, CayleyMap, SkewMorphism, orbit_walk, perm_cycles, perm_order
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,7 @@ def enumerate_rbcm(
         _check_time(start, budget, found)
 
     # t > 1 arm: kernel subgroup + automorphism + coset seeds
-    for H in index2_subgroups_all(G):
+    for H in index2_subgroups(G):
         members = H.member_idx()
         coset = np.setdiff1d(G.all_idx(), members)
         for hperm in subgroup_automorphism_perms(G, members):
@@ -494,7 +494,7 @@ def guided_search_delta(
                 found.append(fm)
     _check_time(start, budget, found)
 
-    pres = plus_presentation(G, "a2_b")
+    pres = plus_presentation(G)
     sub = pres.group
     cands = [
         p for p in autos.aut_group(sub) if all(prune_predicates(a, b, c, p).values())
@@ -528,7 +528,7 @@ def guided_search_delta(
     for phi_plus in cands:
         _check_time(start, budget, found)
         sub_perm = autos.as_perm(phi_plus)
-        ord_plus = _perm_order(sub_perm)
+        ord_plus = perm_order(sub_perm)
         phi_on_even = np.full(N, -1, dtype=np.int64)
         sx = (even_idx // m) // 2
         sy = even_idx % m
@@ -618,7 +618,11 @@ def guided_search_delta(
                 # {1, t}; anything else cannot be a t-balanced map with this
                 # kernel, and skipping it avoids a full verification pass
                 omega = [G.decode(i) for i in orbit]
-                pi = maps.power_function_probe(CayleyMap(G, omega, check=False), phi)
+                try:
+                    cmap = CayleyMap(G, omega)
+                except maps.MapError:
+                    continue
+                pi = maps.power_function_probe(cmap, phi)
                 if not set(np.unique(pi).tolist()) <= {1, t0 % d or d}:
                     continue
                 fm = _reverify(G, omega)
@@ -627,13 +631,6 @@ def guided_search_delta(
 
     result = _dedupe(found, aut_perms)
     return GuidedResult(result, True, stats)
-
-
-def _perm_order(perm: np.ndarray) -> int:
-    out = 1
-    for cycle in perm_cycles(perm):
-        out = out * len(cycle) // np.gcd(out, len(cycle))
-    return int(out)
 
 
 def _beta_balance_ok(gam: np.ndarray, d: int, t: int, ell: int, yd: int, m: int) -> bool:

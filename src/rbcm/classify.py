@@ -358,7 +358,7 @@ def _generates_a2_b(G: Metacyclic, gens: "list[int] | np.ndarray") -> bool:
     gens = np.asarray(gens, dtype=np.int64)
     if np.any((gens // G.m) % 2):
         return False
-    pres = plus_presentation(G, "a2_b")
+    pres = plus_presentation(G)
     return pres.group.generates(pres.retract_vec(gens))
 
 
@@ -404,14 +404,9 @@ def _restriction_is_automorphism(G: Metacyclic, skew: SkewMorphism) -> bool:
 
 
 def solve(a: int, b: int, c: int) -> "list[ClassificationSolution]":
-    """All isomorphism classes on ``D(a,b,c)``, in increasing ``z1`` order."""
-    report = check_necessary(a, b, c)
-    if not report.existence:
-        return []
-    out = []
-    for z1 in range(1 << (a - c - 1)):
-        out.append(realize(a, b, c, z1, full=False).solution)
-    return out
+    """All isomorphism classes on ``D(a,b,c)``, in increasing ``z1`` order:
+    the solutions of ``classify`` at the ``"fast"`` level."""
+    return classify(a, b, c, verify_level="fast").solutions
 
 
 # -- pairwise distinctness -------------------------------------------------------
@@ -488,9 +483,13 @@ class ClassifyOutcome:
         return all(r.verified for r in self.realized)
 
 
-def _realize_task(args: "tuple[int, int, int, int]") -> RealizedRbcm:
-    a, b, c, z1 = args
-    return realize(a, b, c, z1)
+def _realize_task(
+    args: "tuple[int, int, int, int, bool]",
+) -> "RealizedRbcm | ClassificationSolution":
+    """One class; at the fast level only its solution, so that no map outlives the task."""
+    a, b, c, z1, full = args
+    realized = realize(a, b, c, z1, full=full)
+    return realized if full else realized.solution
 
 
 def default_workers() -> int:
@@ -522,19 +521,17 @@ def classify(
     report = check_necessary(a, b, c)
     if not report.existence:
         return ClassifyOutcome(report, [], [], [], None)
-    count = 1 << (a - c - 1)
-    if verify_level == "fast":
-        solutions = solve(a, b, c)
-        return ClassifyOutcome(report, solutions, [], [], None)
-    tasks = [(a, b, c, z1) for z1 in range(count)]
+    full = verify_level == "full"
+    tasks = [(a, b, c, z1, full) for z1 in range(1 << (a - c - 1))]
     nworkers = workers if workers is not None else default_workers()
     nworkers = max(1, min(nworkers, len(tasks)))
     if nworkers == 1:
-        realized = [_realize_task(t) for t in tasks]
+        results = [_realize_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            realized = list(pool.map(_realize_task, tasks))
-    realized.sort(key=lambda r: r.solution.z1)
-    profiles = [quotient_cross_check(r) for r in realized]
-    cert = distinct(realized)
-    return ClassifyOutcome(report, [r.solution for r in realized], realized, profiles, cert)
+            results = list(pool.map(_realize_task, tasks))
+    if not full:
+        return ClassifyOutcome(report, results, [], [], None)
+    profiles = [quotient_cross_check(r) for r in results]
+    cert = distinct(results)
+    return ClassifyOutcome(report, [r.solution for r in results], results, profiles, cert)

@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 a requested verification failed, 2 usage or input
 error, 3 a search budget was exceeded (partial output is flagged), 4 an
 internal inconsistency (a derived identity failed: an engine bug, not bad
-input).  Usage errors and a ``VerificationError`` or
-``InternalInconsistency`` escaping a command print ``{"error": ...}``.
+input).  ``main`` holds the one mapping from exceptions to exit codes: an
+unreadable file, malformed JSON, a ``GroupError`` or ``MapError`` (exit 2),
+a ``VerificationError`` (exit 1) or an ``InternalInconsistency`` (exit 4)
+escaping a command prints ``{"error": ...}``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ import numpy as np
 from . import brute, maps
 from .classify import InternalInconsistency, check_necessary, default_workers
 from .classify import classify as run_classify
-from .groups import DeltaParams, GroupError, Metacyclic, PowerSubgroup, parse_group
+from .groups import (
+    DeltaParams,
+    GroupError,
+    Metacyclic,
+    PowerSubgroup,
+    abelianization_invariants,
+    index2_subgroups,
+    parse_group,
+)
 from .maps import MapError, VerificationError
 
 EXIT_OK = 0
@@ -52,13 +62,9 @@ def _parse_xi(G: Metacyclic, text: str) -> PowerSubgroup:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        outcome = run_classify(
-            args.a, args.b, args.c, verify_level=args.verify_level, workers=args.workers
-        )
-    except GroupError as exc:
-        _emit({"error": str(exc)}, f"invalid parameters: {exc}")
-        return EXIT_USAGE
+    outcome = run_classify(
+        args.a, args.b, args.c, verify_level=args.verify_level, workers=args.workers
+    )
     doc = {
         "command": "classify",
         "a": args.a,
@@ -98,9 +104,9 @@ def cmd_bruteforce(args: argparse.Namespace) -> int:
         max_order=args.max_order,
         time_limit_s=args.time_limit,
     )
+    G = parse_group(args.group)
     try:
         if args.guided:
-            G = parse_group(args.group)
             params = DeltaParams.of(G)
             if params is None:
                 raise GroupError(f"--guided needs a D(a,b,c) group, got {G}")
@@ -108,12 +114,8 @@ def cmd_bruteforce(args: argparse.Namespace) -> int:
             found = result.found
             doc_extra = {"exhausted": result.exhausted, "stats": result.stats}
         else:
-            G = parse_group(args.group)
             found = brute.enumerate_rbcm(G, budget, exhaustive=args.exhaustive)
             doc_extra = {"exhausted": True}
-    except GroupError as exc:
-        _emit({"error": str(exc)}, f"invalid group: {exc}")
-        return EXIT_USAGE
     except brute.BudgetExceeded as exc:
         doc = {
             "command": "bruteforce",
@@ -142,12 +144,8 @@ def _load_map(path: str):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        cmap, phi_arr, pi_arr = _load_map(args.mapfile)
-        xi = _parse_xi(cmap.group, args.quotient) if args.quotient else None
-    except (OSError, json.JSONDecodeError, MapError, GroupError) as exc:
-        _emit({"error": str(exc)}, f"invalid input: {exc}")
-        return EXIT_USAGE
+    cmap, phi_arr, pi_arr = _load_map(args.mapfile)
+    xi = _parse_xi(cmap.group, args.quotient) if args.quotient else None
     doc = {"command": "verify", "group": str(cmap.group), "valency": cmap.d}
     failures = []
     skew = None
@@ -202,25 +200,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
-    try:
-        cmap, phi_arr, _ = _load_map(args.mapfile)
-        xi = _parse_xi(cmap.group, args.xi)
-        if phi_arr is None:
-            skew = maps.is_regular(cmap)
-            if skew is None:
-                raise MapError("map is not regular; no skew-morphism to quotient")
-        else:
-            res = maps.check_skew(cmap, phi_arr)
-            if not isinstance(res, maps.SkewMorphism):
-                raise MapError(f"skew table invalid at ({res.eta}, {res.mu})")
-            skew = res
-        qres = maps.quotient_map(cmap, skew, xi)
-    except (OSError, json.JSONDecodeError, MapError, GroupError) as exc:
-        _emit({"error": str(exc)}, f"quotient failed: {exc}")
-        return EXIT_USAGE
-    except VerificationError as exc:
-        _emit({"error": str(exc)}, f"quotient verification failed: {exc}")
-        return EXIT_VERIFY_FAILED
+    cmap, phi_arr, _ = _load_map(args.mapfile)
+    xi = _parse_xi(cmap.group, args.xi)
+    if phi_arr is None:
+        skew = maps.is_regular(cmap)
+        if skew is None:
+            raise MapError("map is not regular; no skew-morphism to quotient")
+    else:
+        skew = maps.check_skew(cmap, phi_arr)
+        if not isinstance(skew, maps.SkewMorphism):
+            raise MapError(f"skew table invalid at ({skew.eta}, {skew.mu})")
+    qres = maps.quotient_map(cmap, skew, xi)
     doc = {
         "command": "quotient",
         "group": str(qres.cmap.group),
@@ -237,11 +227,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_genus(args: argparse.Namespace) -> int:
-    try:
-        cmap, _, _ = _load_map(args.mapfile)
-    except (OSError, json.JSONDecodeError, MapError, GroupError) as exc:
-        _emit({"error": str(exc)}, f"cannot load map: {exc}")
-        return EXIT_USAGE
+    cmap, _, _ = _load_map(args.mapfile)
     emb = maps.genus(cmap)
     doc = {
         "command": "genus",
@@ -256,20 +242,14 @@ def cmd_genus(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    try:
-        G = parse_group(args.group)
-    except GroupError as exc:
-        _emit({"error": str(exc)}, f"invalid group: {exc}")
-        return EXIT_USAGE
-    from .groups import abelianization_invariants, index2_subgroups_all
-
+    G = parse_group(args.group)
     doc = {
         "command": "info",
         "group": str(G),
         "order": G.order,
         "abelian": G.is_abelian,
         "abelianization": list(abelianization_invariants(G)),
-        "index2_subgroups": [s.tag for s in index2_subgroups_all(G)],
+        "index2_subgroups": [s.tag for s in index2_subgroups(G)],
     }
     params = DeltaParams.of(G)
     if params is not None:
@@ -342,10 +322,7 @@ def main(argv: "Optional[list[str]]" = None) -> int:
             return EXIT_USAGE
     try:
         return args.func(args)
-    except brute.BudgetExceeded as exc:
-        _emit({"error": str(exc), "partial": True}, f"budget exceeded: {exc}")
-        return EXIT_BUDGET
-    except (GroupError, MapError) as exc:
+    except (GroupError, MapError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": str(exc)}, f"input error: {exc}")
         return EXIT_USAGE
     except VerificationError as exc:

@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .twoadic import deg2, geom_sum_mod
+from .twoadic import geom_sum_mod
 
 PERM_REPRESENTATION_MAX_ORDER = 1 << 16
 
@@ -368,20 +368,19 @@ class Subgroup:
 class ParitySubgroup(Subgroup):
     """Kernel of one of the three parity functionals x, y, x+y (mod 2)."""
 
-    def __init__(self, group: Metacyclic, which: str):
+    def __init__(self, group: Metacyclic, tag: str):
         gens = {
             "a2_b": (group.el(2, 0), group.beta()),
             "a_b2": (group.alpha(), group.el(0, 2)),
             "a2_ab": (group.el(2, 0), group.el(1, 1)),
-        }[which]
-        super().__init__(group, gens, which, group.order // 2)
-        self._which = which
+        }[tag]
+        super().__init__(group, gens, tag, group.order // 2)
 
     def contains_vec(self, idx: np.ndarray) -> np.ndarray:
         x, y = idx // self.group.m, idx % self.group.m
-        if self._which == "a2_b":
+        if self.tag == "a2_b":
             return x % 2 == 0
-        if self._which == "a_b2":
+        if self.tag == "a_b2":
             return y % 2 == 0
         return (x + y) % 2 == 0
 
@@ -403,8 +402,6 @@ class PowerSubgroup(Subgroup):
         order = (group.n // ak) * (group.m // bj if bj else 1)
         tag = f"a^{ak}" + (f",b^{bj}" if bj else "")
         super().__init__(group, tuple(gens), tag, max(order, 1))
-        self.k = k
-        self.j = j
         self._ak = ak
         self._bj = bj
 
@@ -416,23 +413,9 @@ class PowerSubgroup(Subgroup):
         return ok & (y % self._bj == 0)
 
 
-def index2_subgroups(group: Metacyclic) -> "tuple[Subgroup, Subgroup, Subgroup]":
-    """The three index-2 subgroups ``<a^2,b>``, ``<a,b^2>``, ``<a^2,ab>``.
-
-    Requires ``n`` and ``m`` even (then ``r`` is odd and all three parity
-    functionals are well-defined homomorphisms onto Z_2).
-    """
-    if group.n % 2 or group.m % 2:
-        raise GroupError(f"index-2 triple needs n, m even, got {group}")
-    return (
-        ParitySubgroup(group, "a2_b"),
-        ParitySubgroup(group, "a_b2"),
-        ParitySubgroup(group, "a2_ab"),
-    )
-
-
-def index2_subgroups_all(group: Metacyclic) -> "list[Subgroup]":
-    """All index-2 subgroups (0, 1 or 3 of them, by parity of n and m)."""
+def index2_subgroups(group: Metacyclic) -> "list[Subgroup]":
+    """All index-2 subgroups: ``<a^2,b>`` if ``n`` is even, ``<a,b^2>`` if
+    ``m`` is even, and ``<a^2,ab>`` if both are (0, 1 or 3 of them)."""
     out: list[Subgroup] = []
     if group.n % 2 == 0:
         out.append(ParitySubgroup(group, "a2_b"))
@@ -459,12 +442,12 @@ def _verify_homomorphism(src: Metacyclic, dst: Metacyclic, f_vec, name: str) -> 
             raise GroupError(f"{name} is not a homomorphism at the generator {gen}")
 
 
-# -- index-2 subgroup as a standalone metacyclic group ------------------------
+# -- the index-2 subgroup <a^2, b> as a standalone metacyclic group -----------
 
 
 @dataclass(frozen=True)
 class IndexTwoPresentation:
-    """An index-2 subgroup re-presented as a standalone ``L(n', m'; r')``.
+    """``<a^2, b>`` of ``L(n, m; r)`` re-presented as the standalone ``L(n/2, m; r)``.
 
     ``include`` and ``retract`` are mutually inverse coordinate maps between
     the standalone group and the subgroup inside the parent; ``verify``
@@ -473,7 +456,6 @@ class IndexTwoPresentation:
     """
 
     parent: Metacyclic
-    tag: str
     group: Metacyclic
 
     def include(self, h: GroupElement) -> GroupElement:
@@ -482,9 +464,7 @@ class IndexTwoPresentation:
 
     def include_vec(self, idx: np.ndarray) -> np.ndarray:
         x, y = idx // self.group.m, idx % self.group.m
-        if self.tag == "a2_b":
-            return 2 * x * self.parent.m + y
-        return x * self.parent.m + 2 * y
+        return 2 * x * self.parent.m + y
 
     def retract(self, g: GroupElement) -> GroupElement:
         self.parent._check_member(g)
@@ -492,16 +472,13 @@ class IndexTwoPresentation:
 
     def retract_vec(self, idx: np.ndarray) -> np.ndarray:
         """Encoded parent elements to encoded elements of the standalone group;
-        ``GroupError`` if any of them lies outside the subgroup."""
+        ``GroupError`` if any of them lies outside ``<a^2, b>``."""
         x, y = idx // self.parent.m, idx % self.parent.m
-        a2_b = self.tag == "a2_b"
-        outside = (x if a2_b else y) % 2 == 1
+        outside = x % 2 == 1
         if np.any(outside):
             g = self.parent.decode(int(np.asarray(idx)[outside].flat[0]))
-            raise GroupError(f"{g} is not in {'<a^2, b>' if a2_b else '<a, b^2>'}")
-        if a2_b:
-            return x // 2 * self.group.m + y
-        return x * self.group.m + y // 2
+            raise GroupError(f"{g} is not in <a^2, b>")
+        return x // 2 * self.group.m + y
 
     def verify(self) -> None:
         """Check that ``include`` is an injective homomorphism and ``retract``
@@ -516,28 +493,13 @@ class IndexTwoPresentation:
 
 
 @lru_cache(maxsize=None)
-def plus_presentation(group: Metacyclic, which: str) -> IndexTwoPresentation:
-    """Standalone presentation of ``<a^2,b>`` or ``<a,b^2>``, verified once
-    and cached per group.
-
-    ``<a^2,b>`` of ``L(n,m;r)`` is ``L(n/2, m; r)`` and ``<a,b^2>`` is
-    ``L(n, m/2; r^2)``.  ``<a^2,ab>`` has no such aligned presentation and is
-    unsupported (its elements are handled by membership only).
-    """
-    if which == "a2_b":
-        if group.n % 2:
-            raise GroupError(f"n must be even for <a^2,b>, got {group}")
-        sub = Metacyclic(group.n // 2, group.m, group.r % max(group.n // 2, 1))
-        pres = IndexTwoPresentation(group, which, sub)
-    elif which == "a_b2":
-        if group.m % 2:
-            raise GroupError(f"m must be even for <a,b^2>, got {group}")
-        sub = Metacyclic(group.n, group.m // 2, (group.r * group.r) % group.n)
-        pres = IndexTwoPresentation(group, which, sub)
-    elif which == "a2_ab":
-        raise GroupError("<a^2, ab> is not supported as a standalone presentation")
-    else:
-        raise GroupError(f"unknown index-2 subgroup tag {which!r}")
+def plus_presentation(group: Metacyclic) -> IndexTwoPresentation:
+    """Standalone presentation ``L(n/2, m; r)`` of ``<a^2, b>``, verified once
+    and cached per group."""
+    if group.n % 2:
+        raise GroupError(f"n must be even for <a^2,b>, got {group}")
+    sub = Metacyclic(group.n // 2, group.m, group.r % max(group.n // 2, 1))
+    pres = IndexTwoPresentation(group, sub)
     pres.verify()
     return pres
 
@@ -550,8 +512,6 @@ class QuotientPresentation:
     """Quotient by ``<a^(2^k)>`` or ``<a^(2^k), b^(2^j)>`` with its projection."""
 
     parent: Metacyclic
-    xi_k: int
-    xi_j: "Optional[int]"
     group: Metacyclic
 
     def project(self, g: GroupElement) -> GroupElement:
@@ -575,7 +535,7 @@ def quotient(group: Metacyclic, xi: PowerSubgroup) -> QuotientPresentation:
         raise GroupError(f"{xi} is not normal in {group}")
     nq = xi._ak
     mq = xi._bj if xi._bj is not None else group.m
-    pres = QuotientPresentation(group, xi.k, xi.j, Metacyclic(nq, mq, group.r % max(nq, 1)))
+    pres = QuotientPresentation(group, Metacyclic(nq, mq, group.r % max(nq, 1)))
     pres.verify()
     return pres
 
@@ -660,12 +620,3 @@ def parse_group(text: str) -> Metacyclic:
 def abelianization_invariants(group: Metacyclic) -> "tuple[int, int]":
     """Orders ``(gcd(r-1, n), m)`` of the abelianization ``Z_(r-1,n) x Z_m``."""
     return (math.gcd(group.r - 1, group.n), group.m)
-
-
-def commutator_subgroup_idx(group: Metacyclic) -> np.ndarray:
-    """Encoded commutator subgroup, computed as the closure of all commutators."""
-    gens = set()
-    for g1 in group.elements():
-        for g2 in group.elements():
-            gens.add(group.encode(group.commutator(g1, g2)))
-    return group.closure_idx(sorted(gens))

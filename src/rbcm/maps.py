@@ -27,17 +27,14 @@ import numpy as np
 from . import autos
 from .groups import (
     GroupElement,
-    GroupError,
     Metacyclic,
     PowerSubgroup,
     QuotientPresentation,
-    Subgroup,
     format_element,
     parse_element,
     parse_group,
     quotient,
 )
-from .twoadic import deg2
 
 
 class MapError(ValueError):
@@ -51,13 +48,14 @@ class VerificationError(AssertionError):
 class CayleyMap:
     """``CM(group, omega, rho)`` with ``omega = (omega_1, .., omega_d)`` and ``rho`` the shift.
 
-    ``check`` validates ``omega``: distinct, no identity, closed under
-    inverses, and generating the group.  Generation is certified in closed
-    form (``Metacyclic.generates``: parity vectors spanning ``G/Phi(G)``)
-    on 2-groups, and by ``closure_idx`` on other groups.
+    The constructor validates ``omega``: distinct, no identity, closed under
+    inverses, and generating the group (``MapError`` otherwise).  Generation
+    is certified in closed form (``Metacyclic.generates``: parity vectors
+    spanning ``G/Phi(G)``) on 2-groups, and by ``closure_idx`` on other
+    groups.
     """
 
-    def __init__(self, group: Metacyclic, omega: Iterable[GroupElement], check: bool = True):
+    def __init__(self, group: Metacyclic, omega: Iterable[GroupElement]):
         self.group = group
         self.omega = tuple(omega)
         self.d = len(self.omega)
@@ -68,10 +66,6 @@ class CayleyMap:
         self._pos_of_idx[self.omega_idx] = np.arange(self.d)
         inv_idx = group.inv_vec(self.omega_idx)
         self.iota0 = self._pos_of_idx[inv_idx]  # 0-based position of each inverse
-        if check:
-            self._validate(inv_idx)
-
-    def _validate(self, inv_idx: np.ndarray) -> None:
         if len(set(self.omega_idx.tolist())) != self.d:
             raise MapError("generators are not distinct")
         if any(w.is_identity() for w in self.omega):
@@ -98,7 +92,7 @@ class CayleyMap:
     def rotate(self, shift: int) -> "CayleyMap":
         """Same map with the indexing rotated: new ``omega_i = old omega_(i+shift)``."""
         s = shift % self.d
-        return CayleyMap(self.group, self.omega[s:] + self.omega[:s], check=False)
+        return CayleyMap(self.group, self.omega[s:] + self.omega[:s])
 
     def __repr__(self) -> str:
         return f"CayleyMap({self.group}, d={self.d})"
@@ -109,6 +103,8 @@ class CayleyMap:
 
 @dataclass(frozen=True)
 class SkewFailure:
+    """Why a candidate is not a skew-morphism of the map, with a witness pair."""
+
     eta: GroupElement
     mu: GroupElement
     detail: str
@@ -120,7 +116,8 @@ class SkewFailure:
 class SkewMorphism:
     """A verified skew-morphism: permutation ``phi`` plus power function ``pi``."""
 
-    #: the dart certificate of ``check_skew`` proves the law on all pairs
+    #: both certificates, the darts of ``check_skew`` and the arc propagation
+    #: of ``is_regular``, prove the law on all pairs
     pair_mode = "exhaustive"
 
     def __init__(self, cmap: CayleyMap, phi: np.ndarray, pi: np.ndarray):
@@ -128,36 +125,12 @@ class SkewMorphism:
         self.group = cmap.group
         self.phi = phi
         self.pi = pi
-        self._powers: "dict[int, np.ndarray]" = {1: phi}
 
     def apply(self, g: GroupElement) -> GroupElement:
         return self.group.decode(int(self.phi[self.group.encode(g)]))
 
     def pi_of(self, g: GroupElement) -> int:
         return int(self.pi[self.group.encode(g)])
-
-    def power(self, k: int) -> np.ndarray:
-        """``phi^k`` as an index array, by repeated squaring of permutations."""
-        k = int(k)
-        if k in self._powers:
-            return self._powers[k]
-        if k == 0:
-            out = self.group.all_idx()
-        elif k % 2 == 0:
-            h = self.power(k // 2)
-            out = h[h]
-        else:
-            out = self.phi[self.power(k - 1)]
-        self._powers[k] = out
-        return out
-
-    @property
-    def order(self) -> int:
-        k = 1
-        ident = self.group.all_idx()
-        while not np.array_equal(self.power(k), ident):
-            k += 1
-        return k
 
     def kernel_mask(self) -> np.ndarray:
         return self.pi == 1
@@ -173,9 +146,12 @@ class SkewMorphism:
         }
 
 
-def check_skew(cmap: CayleyMap, phi: "np.ndarray | dict") -> "SkewMorphism | SkewFailure":
-    """Verify a candidate bijection and derive its power function.
+def check_skew(cmap: CayleyMap, phi: np.ndarray) -> "SkewMorphism | SkewFailure":
+    """Verify a candidate ``phi`` (an encoded index array) and derive its power function.
 
+    A candidate that does not fix the identity or does not restrict to
+    ``rho`` on ``Omega`` fails with the element at fault and its image; one
+    that is not a bijection fails with two elements of the same image.
     For each ``eta`` the probe ``mu0 = omega_1`` pins the only exponent
     ``k`` in ``1..d`` that can work (``phi^k(mu0)`` walks the generator
     cycle).  The candidate is then certified on every dart ``(eta, i)``,
@@ -199,15 +175,19 @@ def check_skew(cmap: CayleyMap, phi: "np.ndarray | dict") -> "SkewMorphism | Ske
     G = cmap.group
     N = G.order
     d = cmap.d
-    phi = _as_perm_array(G, phi)
+    phi = phi.astype(np.int64)
     ident = G.encode(G.identity())
     if int(phi[ident]) != ident:
-        raise MapError("candidate does not fix the identity")
+        return SkewFailure(G.identity(), G.decode(int(phi[ident])), "phi does not fix the identity")
     if np.bincount(phi, minlength=N).max() != 1:
-        raise MapError("candidate is not a bijection")
+        eta, mu = np.flatnonzero(phi == np.argmax(np.bincount(phi)))[:2]
+        return SkewFailure(G.decode(int(eta)), G.decode(int(mu)), "phi is not a bijection")
     expected = cmap.omega_idx[(np.arange(d) + 1) % d]
-    if not np.array_equal(phi[cmap.omega_idx], expected):
-        raise MapError("candidate does not restrict to rho on the generators")
+    off = np.flatnonzero(phi[cmap.omega_idx] != expected)
+    if off.size:
+        w = int(cmap.omega_idx[off[0]])
+        detail = "phi does not restrict to rho on Omega"
+        return SkewFailure(G.decode(w), G.decode(int(phi[w])), detail)
 
     pi = power_function_probe(cmap, phi)
     bad = np.flatnonzero(pi == 0)
@@ -247,17 +227,6 @@ def power_function_probe(cmap: CayleyMap, phi: np.ndarray) -> np.ndarray:
     return np.where(pos >= 1, pos, np.where(pos == 0, cmap.d, 0))
 
 
-def _as_perm_array(G: Metacyclic, phi: "np.ndarray | dict") -> np.ndarray:
-    if isinstance(phi, np.ndarray):
-        return phi.astype(np.int64)
-    out = np.full(G.order, -1, dtype=np.int64)
-    for g, h in phi.items():
-        out[G.encode(g)] = G.encode(h)
-    if np.any(out < 0):
-        raise MapError("phi table does not cover the group")
-    return out
-
-
 # -- t-balance ----------------------------------------------------------------
 
 
@@ -274,7 +243,6 @@ class BalanceData:
     t: int
     ell: int
     map_type: str
-    all_t: "tuple[int, ...]"
     d: int
 
 
@@ -301,7 +269,7 @@ def balance_data(cmap: CayleyMap) -> "Optional[BalanceData]":
     map_type = "II" if ell % g == 0 else "I"
     if (map_type == "II") != has_involution:
         raise VerificationError("type classification disagrees with involution presence")
-    return BalanceData(t, ell, map_type, tuple(valid), d)
+    return BalanceData(t, ell, map_type, d)
 
 
 def normalize_indexing(cmap: CayleyMap, bal: BalanceData) -> "tuple[CayleyMap, BalanceData, int]":
@@ -364,12 +332,18 @@ def _propagate(cmap: CayleyMap, img0: int, shift0: int) -> "Optional[np.ndarray]
 
 
 def is_regular(cmap: CayleyMap) -> "Optional[SkewMorphism]":
-    """The skew-morphism extending ``rho``, if the map is regular."""
+    """The skew-morphism extending ``rho``, if the map is regular.
+
+    A successful propagation is itself the certificate: it is a map
+    automorphism sending the arc ``(1, omega_1)`` to ``(1, omega_2)``, so its
+    vertex images fix the identity, restrict to ``rho`` and satisfy
+    ``phi(eta omega_i) = phi(eta) omega_(i+pi(eta))`` on every dart, which
+    is the dart certificate of ``check_skew``.
+    """
     img = _propagate(cmap, cmap.group.encode(cmap.group.identity()), 1)
     if img is None:
         return None
-    res = check_skew(cmap, img)
-    return res if isinstance(res, SkewMorphism) else None
+    return SkewMorphism(cmap, img, power_function_probe(cmap, img))
 
 
 def map_automorphism_count(cmap: CayleyMap) -> int:
@@ -752,6 +726,11 @@ def orbit_walk(perm: np.ndarray, seed: int) -> "Optional[list[int]]":
         cur = int(perm[cur])
     out.append(seed)
     return out
+
+
+def perm_order(perm: np.ndarray) -> int:
+    """The order of a permutation array: the lcm of its cycle lengths."""
+    return math.lcm(*(len(cycle) for cycle in perm_cycles(perm)))
 
 
 def perm_cycles(perm: np.ndarray) -> "list[list[int]]":

@@ -9,41 +9,9 @@ engine, so they are deliberately small and heavily tested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 #: 2-adic valuation of zero.  ``math.inf`` compares greater than every int.
 INFINITY = math.inf
-
-Valuation = "int | float"
-
-
-@dataclass(frozen=True)
-class Residue2:
-    """A canonical residue ``value`` modulo ``2**e`` with ``0 <= value < 2**e``."""
-
-    value: int
-    e: int
-
-    def __post_init__(self) -> None:
-        if self.e < 0:
-            raise ValueError(f"modulus exponent must be nonnegative, got {self.e}")
-        if not 0 <= self.value < (1 << self.e):
-            raise ValueError(
-                f"residue {self.value} out of range [0, 2**{self.e})"
-            )
-
-    @property
-    def modulus(self) -> int:
-        return 1 << self.e
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __index__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod 2^{self.e})"
 
 
 def deg2(u: int) -> "int | float":
@@ -79,19 +47,7 @@ def geom_sum_mod(s: int, u: int, mod: int) -> int:
     return total
 
 
-def geom_sum(s: int, u: int, e: int) -> Residue2:
-    """``1 + s + ... + s**(u-1)`` modulo ``2**e``."""
-    return Residue2(geom_sum_mod(s, u, 1 << e), e)
-
-
-def inv_mod2(u: int, e: int) -> Residue2:
-    """Inverse of an odd ``u`` modulo ``2**e``; even input is not a unit."""
-    if u % 2 == 0:
-        raise ValueError(f"{u} is not a unit modulo 2**{e}")
-    return Residue2(pow(u, -1, 1 << e), e)
-
-
-def solve_linear(A: int, B: int, e: int) -> list[Residue2]:
+def solve_linear(A: int, B: int, e: int) -> "list[int]":
     """All ``x`` in ``[0, 2**e)`` with ``A*x = B (mod 2**e)``; empty if none.
 
     The solution count is ``gcd(A, 2**e)`` when ``gcd(A, 2**e) | B``.
@@ -107,10 +63,10 @@ def solve_linear(A: int, B: int, e: int) -> list[Residue2]:
         x0 = 0
     else:
         x0 = ((B // g) * pow(A // g, -1, step)) % step
-    return [Residue2(x0 + k * step, e) for k in range(g)]
+    return [x0 + k * step for k in range(g)]
 
 
-def sqrt_lift(s: int, h: int, e: int, e_target: int) -> Residue2:
+def sqrt_lift(s: int, h: int, e: int, e_target: int) -> int:
     """Lift an odd square root of ``h`` modulo ``2**e`` to modulus ``2**e_target``.
 
     Preconditions: ``e >= 3``, ``e_target > e``, ``s`` odd and
@@ -149,4 +105,4 @@ def sqrt_lift(s: int, h: int, e: int, e_target: int) -> Residue2:
     result = root % (1 << e_target)
     if (result - s) % (1 << (e - 1)):
         raise AssertionError("lift drifted away from the base root")
-    return Residue2(result, e_target)
+    return result

@@ -10,7 +10,9 @@ production certificates rely on, so the tests can compare the two:
 * ``traced_face_count`` follows every dart around its face, against the
   closed-form count inside ``maps.genus``;
 * ``enumerate_params`` walks the parameter constraints in nested loops and
-  validates every tuple, against the arrays of ``autos.aut_group``.
+  validates every tuple, against the arrays of ``autos.aut_group``;
+* ``commutator_subgroup_idx`` closes the set of all commutators, against
+  the closed-form ``groups.abelianization_invariants``.
 
 The sweep is quadratic in ``|G|`` and the tracing loops in Python over
 every dart; keep them to orders up to ``2^11``.
@@ -128,3 +130,12 @@ def enumerate_params(group: Metacyclic) -> Iterator[AutoParams]:
                     p = AutoParams(x1, y1, x2, y2, group)
                     if validate(p):
                         yield p
+
+
+def commutator_subgroup_idx(group: Metacyclic) -> np.ndarray:
+    """Encoded commutator subgroup, computed as the closure of all commutators."""
+    gens = set()
+    for g1 in group.elements():
+        for g2 in group.elements():
+            gens.add(group.encode(group.commutator(g1, g2)))
+    return group.closure_idx(sorted(gens))

@@ -26,7 +26,7 @@ from rbcm.groups import DeltaParams, Metacyclic, parse_group, plus_presentation
 
 L1645 = Metacyclic(16, 4, 5)
 DELTA734 = DeltaParams(7, 3, 4).group()
-PLUS734 = plus_presentation(DELTA734, "a2_b").group  # L(64, 8, 17)
+PLUS734 = plus_presentation(DELTA734).group  # L(64, 8, 17)
 
 rng = random.Random(99)
 
@@ -84,7 +84,7 @@ class TestApply:
     def test_relation_preservation_all(self):
         G = PLUS734
         for p in rng.sample(aut_group(G), 25):
-            A, B = p.image_a(), p.image_b()
+            A, B = G.el(p.x1, p.y1), G.el(p.x2, p.y2)
             assert G.element_order(A) == G.n
             assert G.element_order(B) == G.element_order(G.beta())
             assert G.mul(G.mul(B, A), G.inv(B)) == G.pow(A, G.r)
@@ -224,7 +224,7 @@ class TestRestriction:
             restrict_to_plus(p)
 
     def test_pointwise_on_subgroup(self):
-        pres = plus_presentation(DELTA734, "a2_b")
+        pres = plus_presentation(DELTA734)
         for p in rng.sample(aut_group(DELTA734), 10):
             res = restrict_to_plus(p)
             for h in rng.sample(list(pres.group.elements()), 25):

@@ -14,7 +14,7 @@ from rbcm.brute import (
     prune_predicates,
     subgroup_automorphism_perms,
 )
-from rbcm.groups import Metacyclic, index2_subgroups_all
+from rbcm.groups import Metacyclic, index2_subgroups
 
 Z4 = Metacyclic(4, 1, 1)
 Z8 = Metacyclic(8, 1, 1)
@@ -60,7 +60,7 @@ class TestAutomorphisms:
 
     def test_subgroup_automorphisms(self):
         # <a^2, b> of L(8,2,3) is Z4 x Z2 (a^2 has order 4, b order 2, commute)
-        H = index2_subgroups_all(L823)[0]
+        H = index2_subgroups(L823)[0]
         perms = subgroup_automorphism_perms(L823, H.member_idx())
         assert len(perms) == 8  # |Aut(Z4 x Z2)| = 8
 
@@ -108,7 +108,7 @@ class TestGuided:
     def test_prune_predicates_on_normal_form(self):
         from rbcm.groups import DeltaParams, plus_presentation
 
-        sub = plus_presentation(DeltaParams(7, 3, 4).group(), "a2_b").group
+        sub = plus_presentation(DeltaParams(7, 3, 4).group()).group
         p = autos.normal_form_params(sub, 3, 5)
         assert all(prune_predicates(7, 3, 4, p).values())
 
@@ -120,7 +120,7 @@ class TestGuided:
         for z1 in range(4):
             r = realize(7, 3, 4, z1, full=False)
             sol = r.solution
-            sub = brute.plus_presentation(r.cmap.group, "a2_b").group
+            sub = brute.plus_presentation(r.cmap.group).group
             phi_plus = autos.normal_form_params(sub, sol.z, sol.w)
             assert all(prune_predicates(7, 3, 4, phi_plus).values())
             assert autos.validate(phi_plus)
@@ -128,7 +128,7 @@ class TestGuided:
             bal = maps.balance_data(r.cmap)
             assert bal is not None and bal.ell % 2 == 1
             # order of the restriction divides the valency
-            assert sol.d % brute._perm_order(autos.as_perm(phi_plus)) == 0
+            assert sol.d % maps.perm_order(autos.as_perm(phi_plus)) == 0
 
     def test_empty_branch_is_exhausted_fast(self):
         res = brute.guided_search_delta(5, 3, 2)

@@ -3,7 +3,9 @@
 The dart certificate of ``maps.check_skew`` is compared with the ``|G|^2``
 pair sweep, and the closed-form face count of ``maps.genus`` with dart
 tracing, on maps of order up to ``2^11``.  One map of order ``2^16`` checks
-that the certificate covers every row block.  The closed-form generation
+that the certificate covers every row block.  ``maps.is_regular``, which
+takes the arc propagation as its certificate, is compared with the dart
+certificate of the propagated candidate and with the arc-image count.  The closed-form generation
 certificate of ``Metacyclic.generates`` is compared with the closure BFS
 ``closure_idx`` on random subsets.
 """
@@ -14,7 +16,7 @@ import numpy as np
 from hypothesis import assume, event, given, settings, strategies as st
 
 import oracles
-from rbcm import brute
+from rbcm import brute, maps
 from rbcm.classify import _generates_a2_b, realize
 from rbcm.groups import Metacyclic, parse_group
 from rbcm.maps import (
@@ -24,6 +26,7 @@ from rbcm.maps import (
     SkewMorphism,
     check_skew,
     genus,
+    is_regular,
     power_function_probe,
 )
 
@@ -156,6 +159,43 @@ def test_dart_certificate_covers_every_row_block():
     phi[top] = phi[top[::-1]]
     assert np.all(oracles.probe_power_function(cmap, phi) > 0)
     assert_real_witness(cmap, phi, check_skew(cmap, phi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_propagation_certificate_matches_dart_certificate(data):
+    """``is_regular`` takes the propagated map automorphism as its own
+    certificate; the dart certificate of that candidate must agree, and so
+    must the arc-image count on orders up to 32."""
+    source = data.draw(st.sampled_from(SKEW_GROUPS + ("D(7,3,4)",)))
+    if source == "D(7,3,4)":
+        cmap = data.draw(st.sampled_from([cm for cm, _ in realized_maps(7, 3, 4)]))
+        kind = data.draw(st.sampled_from(["rotate", "swap two"]))
+        if kind == "rotate":
+            cmap = cmap.rotate(data.draw(st.integers(0, cmap.d - 1)))
+        else:
+            order = list(range(cmap.d))
+            i, j = data.draw(st.lists(st.sampled_from(order), min_size=2, max_size=2, unique=True))
+            order[i], order[j] = j, i
+            cmap = reordered(cmap, order)
+    else:
+        G = parse_group(source)
+        picks = data.draw(st.lists(st.integers(1, G.order - 1), min_size=1, max_size=4))
+        gens = sorted(set(picks) | set(G.inv_vec(np.array(picks)).tolist()))
+        try:
+            cmap = CayleyMap(G, [G.decode(i) for i in data.draw(st.permutations(gens))])
+        except MapError:
+            assume(False)
+    G = cmap.group
+    skew = is_regular(cmap)
+    img = maps._propagate(cmap, G.encode(G.identity()), 1)
+    dart = check_skew(cmap, img) if img is not None else None
+    event("regular" if skew is not None else "not regular")
+    assert (skew is not None) == isinstance(dart, SkewMorphism)
+    if skew is not None:
+        assert np.array_equal(skew.phi, dart.phi) and np.array_equal(skew.pi, dart.pi)
+    if G.order <= 32:
+        assert (skew is not None) == (maps.map_automorphism_count(cmap) == G.order * cmap.d)
 
 
 def draw_subset(data, G: Metacyclic, x_step: int = 1) -> np.ndarray:

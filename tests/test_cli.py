@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rbcm import maps
+from rbcm import brute, maps
 from rbcm.cli import EXIT_INTERNAL, EXIT_VERIFY_FAILED, main
 from rbcm.classify import InternalInconsistency, default_workers, realize
 from rbcm.groups import Metacyclic
@@ -27,6 +27,12 @@ def z5_map_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("maps") / "z5.json"
     path.write_text(canonical_json(map_to_json_dict(cm, skew)), encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="module")
+def z8_map_doc():
+    fm = brute.enumerate_rbcm(Metacyclic(8, 1, 1))[0]
+    return map_to_json_dict(fm.cmap, fm.skew)
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +164,22 @@ class TestVerifyCommand:
         bad = tmp_path / "tampered_phi.json"
         bad.write_text(canonical_json(doc), encoding="utf-8")
         code, out, _ = run_cli(capsys, "verify", str(bad))
-        assert code in (1, 2)  # law violation, or no longer a valid table
+        assert code == 1 and out["failures"]
+
+    @pytest.mark.parametrize("defect", ["non-bijective", "identity-moving"])
+    def test_bad_skew_table_is_a_failed_check(self, capsys, z8_map_doc, tmp_path, defect):
+        doc = json.loads(canonical_json(z8_map_doc))
+        phi = doc["skew"]["phi"]
+        if defect == "non-bijective":
+            phi["a^2 b^0"] = phi["a^1 b^0"]
+        else:
+            phi["a^0 b^0"], phi["a^2 b^0"] = phi["a^2 b^0"], phi["a^0 b^0"]
+        bad = tmp_path / "bad_table.json"
+        bad.write_text(canonical_json(doc), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", str(bad))
+        assert code == 1
+        assert out["failures"] and out["skew"].startswith("violated at")
+        assert out["embedding"]["vertices"] == 8
 
     def test_quotient_flag(self, capsys, delta_map_file):
         code, doc, _ = run_cli(
@@ -178,6 +199,12 @@ class TestVerifyCommand:
         bad.write_text("{not json", encoding="utf-8")
         code, doc, _ = run_cli(capsys, "verify", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [("verify",), ("genus",), ("quotient", "--xi", "a^16")])
+    def test_missing_file_is_an_input_error(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "missing.json")
+        code, doc, _ = run_cli(capsys, argv[0], missing, *argv[1:])
+        assert code == 2 and "missing.json" in doc["error"]
 
 
 class TestQuotientCommand:

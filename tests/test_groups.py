@@ -12,17 +12,16 @@ from rbcm.groups import (
     Metacyclic,
     PowerSubgroup,
     abelianization_invariants,
-    commutator_subgroup_idx,
     format_element,
     geom_table,
     index2_subgroups,
-    index2_subgroups_all,
     parse_element,
     parse_group,
     plus_presentation,
     quotient,
 )
 from rbcm.groups import _verify_homomorphism
+from oracles import commutator_subgroup_idx
 from rbcm.twoadic import geom_sum_mod
 
 L823 = Metacyclic(8, 2, 3)
@@ -230,9 +229,10 @@ class TestSubgroups:
         assert [ab in s for s in subs] == [False, False, True]
 
     def test_odd_order_rejected(self):
-        with pytest.raises(GroupError, match="even"):
-            index2_subgroups(Metacyclic(8, 1, 1))
-        assert [s.tag for s in index2_subgroups_all(Metacyclic(8, 1, 1))] == ["a2_b"]
+        # a factor of odd order has no parity functional onto Z_2
+        assert [s.tag for s in index2_subgroups(Metacyclic(8, 1, 1))] == ["a2_b"]
+        assert [s.tag for s in index2_subgroups(Metacyclic(1, 8, 1))] == ["a_b2"]
+        assert index2_subgroups(Metacyclic(7, 1, 1)) == []
 
     def test_kernel_oracle(self):
         # index-2 subgroups = kernels of homomorphisms onto Z_2, found by scan
@@ -267,16 +267,15 @@ class TestSubgroups:
 class TestPlusPresentation:
     def test_spec_examples(self):
         D = DeltaParams(7, 3, 4).group()
-        assert plus_presentation(D, "a2_b").group == Metacyclic(64, 8, 17)
-        assert plus_presentation(D, "a_b2").group == Metacyclic(128, 4, 33)
+        assert plus_presentation(D).group == Metacyclic(64, 8, 17)
 
     def test_inclusion_identity(self):
-        pres = plus_presentation(L1645, "a2_b")
+        pres = plus_presentation(L1645)
         assert pres.include(pres.group.identity()).is_identity()
 
     def test_inclusion_homomorphism_random(self):
         rng = random.Random(3)
-        pres = plus_presentation(DeltaParams(7, 3, 4).group(), "a_b2")
+        pres = plus_presentation(DeltaParams(7, 3, 4).group())
         H, G = pres.group, pres.parent
         for _ in range(100):
             h1 = H.decode(rng.randrange(H.order))
@@ -286,15 +285,13 @@ class TestPlusPresentation:
     def test_inclusion_checked_on_every_product(self):
         # r = 33 instead of 65: include(b a^2) != include(b) include(a^2), at an
         # order (|H| = 2^13) where a sample of pairs can miss it
-        wrong = IndexTwoPresentation(
-            DeltaParams(10, 4, 6).group(), "a2_b", Metacyclic(512, 16, 33)
-        )
+        wrong = IndexTwoPresentation(DeltaParams(10, 4, 6).group(), Metacyclic(512, 16, 33))
         with pytest.raises(GroupError, match="not a homomorphism"):
             wrong.verify()
-        plus_presentation(DeltaParams(10, 4, 6).group(), "a2_b").verify()
-        # <a, b^2> of L(8,2,3) is L(8,1,1); with m' = 2 inclusion sends b to a
+        plus_presentation(DeltaParams(10, 4, 6).group()).verify()
+        # <a^2, b> of Z8 is L(4,1,1); with m' = 4 inclusion sends b^2 to a^2
         with pytest.raises(GroupError, match="not injective"):
-            IndexTwoPresentation(L823, "a_b2", Metacyclic(8, 2, 1)).verify()
+            IndexTwoPresentation(Metacyclic(8, 1, 1), Metacyclic(4, 4, 1)).verify()
 
     def test_homomorphism_check_uses_both_generators(self):
         # (x, y) -> (x, y^2) on Z4 x Z4 respects right products with a, not with b
@@ -303,23 +300,22 @@ class TestPlusPresentation:
             _verify_homomorphism(G, G, lambda idx: idx // 4 * 4 + (idx % 4) ** 2 % 4, "f")
 
     def test_retract_roundtrip(self):
-        for which in ("a2_b", "a_b2"):
-            pres = plus_presentation(L1645, which)
-            for h in pres.group.elements():
-                assert pres.retract(pres.include(h)) == h
-            idx = pres.group.all_idx()
-            assert np.array_equal(pres.retract_vec(pres.include_vec(idx)), idx)
+        pres = plus_presentation(L1645)
+        for h in pres.group.elements():
+            assert pres.retract(pres.include(h)) == h
+        idx = pres.group.all_idx()
+        assert np.array_equal(pres.retract_vec(pres.include_vec(idx)), idx)
 
     def test_retract_rejects_non_members(self):
         with pytest.raises(GroupError, match="a\\^3 b\\^1 is not in <a\\^2, b>"):
-            plus_presentation(L1645, "a2_b").retract(L1645.el(3, 1))
-        pres = plus_presentation(L1645, "a_b2")
-        with pytest.raises(GroupError, match="is not in <a, b\\^2>"):
-            pres.retract_vec(np.array([0, L1645.encode(L1645.el(2, 1))]))
+            plus_presentation(L1645).retract(L1645.el(3, 1))
+        with pytest.raises(GroupError, match="a\\^1 b\\^2 is not in <a\\^2, b>"):
+            plus_presentation(L1645).retract_vec(np.array([0, L1645.encode(L1645.el(1, 2))]))
 
     def test_unsupported(self):
-        with pytest.raises(GroupError, match="not supported"):
-            plus_presentation(L823, "a2_ab")
+        # <a^2, b> has index 2 only when n is even
+        with pytest.raises(GroupError, match="n must be even"):
+            plus_presentation(Metacyclic(7, 1, 1))
 
 
 class TestQuotient:

@@ -65,19 +65,28 @@ class TestCayleyMap:
 class TestCheckSkew:
     def test_identity_on_omega_fails_bijection_guard(self):
         cm = cyclic_map(Z5, [1, 2, 4, 3])
-        with pytest.raises(MapError, match="restrict"):
-            check_skew(cm, Z5.all_idx())
+        res = check_skew(cm, Z5.all_idx())
+        assert isinstance(res, SkewFailure) and "restrict" in res.detail
+        assert (res.eta, res.mu) == (Z5.el(1, 0), Z5.el(1, 0))
+
+    def test_candidate_defects_have_witnesses(self):
+        cm = cyclic_map(Z5, [1, 2, 4, 3])
+        phi = doubling_phi()
+        moved = phi.copy()
+        moved[[0, 1]] = moved[[1, 0]]
+        res = check_skew(cm, moved)
+        assert "identity" in res.detail and (res.eta, res.mu) == (Z5.el(0, 0), Z5.el(2, 0))
+        twice = phi.copy()
+        twice[3] = twice[2]
+        res = check_skew(cm, twice)
+        assert "bijection" in res.detail and (res.eta, res.mu) == (Z5.el(2, 0), Z5.el(3, 0))
+        assert res.eta != res.mu and twice[Z5.encode(res.eta)] == twice[Z5.encode(res.mu)]
 
     def test_automorphism_gives_trivial_pi(self):
         cm = cyclic_map(Z5, [1, 2, 4, 3])
         res = check_skew(cm, doubling_phi())
         assert isinstance(res, SkewMorphism)
         assert set(res.pi.tolist()) == {1}
-
-    def test_dict_input(self):
-        cm = cyclic_map(Z5, [1, 2, 4, 3])
-        table = {Z5.el(x, 0): Z5.el(2 * x % 5, 0) for x in range(5)}
-        assert isinstance(check_skew(cm, table), SkewMorphism)
 
     def test_violating_pair_reported(self):
         # on Z8 with omega = (1,3,5,7): fix rho on the generators but swap the
@@ -100,12 +109,10 @@ class TestCheckSkew:
         G = Z5
         for eta in G.elements():
             for mu in G.elements():
-                lhs = skew.apply(G.mul(eta, mu))
-                rhs = G.mul(
-                    skew.apply(eta),
-                    G.decode(int(skew.power(skew.pi_of(eta))[G.encode(mu)])),
-                )
-                assert lhs == rhs
+                image = mu
+                for _ in range(skew.pi_of(eta)):
+                    image = skew.apply(image)
+                assert skew.apply(G.mul(eta, mu)) == G.mul(skew.apply(eta), image)
 
 
 class TestBalance:
