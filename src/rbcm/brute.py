@@ -210,10 +210,10 @@ def _dedupe(found: "list[FoundMap]", aut_perms: "list[np.ndarray]") -> "list[Fou
     return [seen[k] for k in sorted(seen)]
 
 
-def _reverify(G: Metacyclic, omega: "list[GroupElement]") -> "Optional[FoundMap]":
-    """Re-check a candidate from definitions alone; None if any check fails."""
+def _reverify(G: Metacyclic, omega_idx: "list[int]") -> "Optional[FoundMap]":
+    """Re-check an encoded candidate cycle from definitions alone; None if any check fails."""
     try:
-        cmap = CayleyMap(G, omega)
+        cmap = CayleyMap(G, omega_idx)
     except maps.MapError:
         return None
     skew = maps.is_regular(cmap)
@@ -253,8 +253,7 @@ def enumerate_rbcm(
         for orbit in perm_cycles(perm):
             if 0 in orbit:
                 continue
-            omega = [G.decode(i) for i in orbit]
-            fm = _reverify(G, omega)
+            fm = _reverify(G, orbit)
             if fm is not None:
                 found.append(fm)
         _check_time(start, budget, found)
@@ -275,8 +274,7 @@ def enumerate_rbcm(
                     orbit = orbit_walk(phi, int(wd))
                     if orbit is None:
                         continue
-                    omega = [G.decode(i) for i in orbit]
-                    fm = _reverify(G, omega)
+                    fm = _reverify(G, orbit)
                     if fm is not None:
                         found.append(fm)
 
@@ -315,16 +313,10 @@ def naive_enumerate_rbcm(
     if G.order > budget.max_order:
         raise BudgetExceeded(f"order {G.order} exceeds the naive budget {budget.max_order}")
     start = time.monotonic()
-    involutions = []
-    pairs = []
-    for g in G.elements():
-        if g.is_identity():
-            continue
-        gi = g.inverse()
-        if gi == g:
-            involutions.append(g)
-        elif G.encode(g) < G.encode(gi):
-            pairs.append((g, gi))
+    codes = G.all_idx()[1:]  # every element but the identity, encoded
+    inverses = G.inv_vec(codes)
+    involutions = codes[inverses == codes].tolist()
+    pairs = [(g, gi) for g, gi in zip(codes.tolist(), inverses.tolist()) if g < gi]
 
     found: "list[FoundMap]" = []
     for inv_mask in range(1 << len(involutions)):
@@ -332,13 +324,12 @@ def naive_enumerate_rbcm(
         for pair_mask in range(1 << len(pairs)):
             chosen_pairs = [p for i, p in enumerate(pairs) if pair_mask >> i & 1]
             omega_set = chosen_inv + [g for p in chosen_pairs for g in p]
-            if not omega_set or not G.generates([G.encode(g) for g in omega_set]):
+            if not omega_set or not G.generates(omega_set):
                 continue
             _check_time(start, budget, found)
             d = len(omega_set)
-            least = min(G.encode(g) for g in omega_set)
-            for omega in _balanced_orderings(G, chosen_inv, chosen_pairs, d, least):
-                fm = _reverify(G, omega)
+            for omega_idx in _balanced_orderings(chosen_inv, chosen_pairs, d, min(omega_set)):
+                fm = _reverify(G, omega_idx)
                 if fm is not None:
                     found.append(fm)
 
@@ -352,13 +343,12 @@ def naive_enumerate_rbcm(
 
 
 def _balanced_orderings(
-    G: Metacyclic,
-    chosen_inv: "list[GroupElement]",
-    chosen_pairs: "list[tuple[GroupElement, GroupElement]]",
+    chosen_inv: "list[int]",
+    chosen_pairs: "list[tuple[int, int]]",
     d: int,
     least: int,
-) -> Iterator["list[GroupElement]"]:
-    """All orderings compatible with some ``iota(i) = ell + t i``, least first."""
+) -> Iterator["list[int]"]:
+    """All encoded orderings compatible with some ``iota(i) = ell + t i``, least first."""
     for t in range(1, d + 1):
         if (t * t) % d != 1 % d:
             continue
@@ -374,11 +364,11 @@ def _balanced_orderings(
             )
             if len(fixed) != len(chosen_inv):
                 continue
-            yield from _assign(G, fixed, cycles, chosen_inv, chosen_pairs, d, least)
+            yield from _assign(fixed, cycles, chosen_inv, chosen_pairs, d, least)
 
 
-def _assign(G, fixed, cycles, chosen_inv, chosen_pairs, d, least):
-    slots: "list[Optional[GroupElement]]" = [None] * d
+def _assign(fixed, cycles, chosen_inv, chosen_pairs, d, least):
+    slots: "list[Optional[int]]" = [None] * d
     inv_used = [False] * len(chosen_inv)
     pair_used = [False] * len(chosen_pairs)
 
@@ -400,7 +390,7 @@ def _assign(G, fixed, cycles, chosen_inv, chosen_pairs, d, least):
             for idx, g in enumerate(chosen_inv):
                 if inv_used[idx]:
                     continue
-                if i == 0 and G.encode(g) != least:
+                if i == 0 and g != least:
                     continue
                 inv_used[idx] = True
                 slots[i] = g
@@ -413,7 +403,7 @@ def _assign(G, fixed, cycles, chosen_inv, chosen_pairs, d, least):
                 if pair_used[idx]:
                     continue
                 for first, second in ((g, gi), (gi, g)):
-                    if i == 0 and G.encode(first) != least:
+                    if i == 0 and first != least:
                         continue
                     pair_used[idx] = True
                     slots[i], slots[j] = first, second
@@ -424,10 +414,8 @@ def _assign(G, fixed, cycles, chosen_inv, chosen_pairs, d, least):
 
     # if the least element must appear somewhere, and position 0's orbit kind
     # does not match the least element's kind, no ordering survives the pinning
-    least_el = G.decode(least)
-    least_is_inv = least_el == least_el.inverse()
     first_orbit = orbit_list[0]
-    if (len(first_orbit) == 1) != least_is_inv:
+    if (len(first_orbit) == 1) != (least in chosen_inv):
         return
     yield from rec(0)
 
@@ -489,7 +477,7 @@ def guided_search_delta(
                 continue
             if not G.generates(orbit):
                 continue
-            fm = _reverify(G, [G.decode(i) for i in orbit])
+            fm = _reverify(G, orbit)
             if fm is not None:
                 found.append(fm)
     _check_time(start, budget, found)
@@ -617,15 +605,14 @@ def guided_search_delta(
                 # (P5) the derived power function must take the two values
                 # {1, t}; anything else cannot be a t-balanced map with this
                 # kernel, and skipping it avoids a full verification pass
-                omega = [G.decode(i) for i in orbit]
                 try:
-                    cmap = CayleyMap(G, omega)
+                    cmap = CayleyMap(G, orbit)
                 except maps.MapError:
                     continue
                 pi = maps.power_function_probe(cmap, phi)
                 if not set(np.unique(pi).tolist()) <= {1, t0 % d or d}:
                     continue
-                fm = _reverify(G, omega)
+                fm = _reverify(G, orbit)
                 if fm is not None:
                     found.append(fm)
 

@@ -34,7 +34,6 @@ import numpy as np
 from . import autos, maps
 from .groups import (
     DeltaParams,
-    GroupElement,
     GroupError,
     Metacyclic,
     PowerSubgroup,
@@ -216,8 +215,8 @@ def _verify_conditions(
 
 def _build_phi(
     G: Metacyclic, a: int, b: int, z: int, w: int, u_tilde: int, u1: int, v1: int
-) -> "tuple[np.ndarray, GroupElement, GroupElement]":
-    """The candidate skew-morphism as a permutation array.
+) -> "tuple[np.ndarray, int]":
+    """The candidate skew-morphism as a permutation array, and the encoded ``omega_d``.
 
     On ``<a^2, b>`` it is the automorphism ``a^2 -> a^(2z) b, b -> b^w``;
     on the other coset it sends ``h * omega_d`` to ``phi(h) * omega_1`` with
@@ -234,13 +233,11 @@ def _build_phi(
     phi_y = (X + w * y[even]) % m
     phi[even] = phi_x * m + phi_y
 
-    omega_d = G.el(u_tilde, 1)
-    eta1 = G.el(2 * u1 % n, v1)
-    omega_1 = G.mul(eta1, omega_d)
-    odd_idx = idx[~even]
-    h = G.mul_vec(odd_idx, np.int64(G.encode(G.inv(omega_d))))
-    phi[~even] = G.mul_vec(phi[h], np.int64(G.encode(omega_1)))
-    return phi, omega_d, omega_1
+    omega_d = G.code(u_tilde, 1)
+    omega_1 = G.mul_vec(np.int64(G.code(2 * u1, v1)), np.int64(omega_d))
+    h = G.mul_vec(idx[~even], G.inv_vec(np.int64(omega_d)))
+    phi[~even] = G.mul_vec(phi[h], omega_1)
+    return phi, omega_d
 
 
 def realize(
@@ -282,12 +279,11 @@ def realize(
     seen = set()
     for _ in range(8):
         u_tilde, u1, v1 = _residues_for(a, b, c, z, w, ell)
-        phi, omega_d, omega_1 = _build_phi(G, a, b, z, w, u_tilde, u1, v1)
-        orbit_idx = maps.orbit_walk(phi, G.encode(omega_d))
+        phi, omega_d = _build_phi(G, a, b, z, w, u_tilde, u1, v1)
+        orbit_idx = maps.orbit_walk(phi, omega_d)
         if orbit_idx is None:
             raise InternalInconsistency("orbit failed to close")
-        omega = [G.decode(i) for i in orbit_idx]
-        cmap = CayleyMap(G, omega)
+        cmap = CayleyMap(G, orbit_idx)
         bal = maps.balance_data(cmap)
         if bal is None:
             raise InternalInconsistency("constructed map is not t-balanced")
@@ -311,7 +307,7 @@ def realize(
     checks: "dict[str, bool]" = {}
     res = maps.check_skew(cmap, phi)
     if not isinstance(res, SkewMorphism):
-        raise VerificationError(f"skew law fails at ({res.eta}, {res.mu})")
+        raise VerificationError(f"skew law fails at ({res.eta}, {res.mu}): {res.detail}")
     skew = res
     checks["skew_law_all_pairs"] = True
     checks["balanced"] = True
@@ -330,7 +326,7 @@ def realize(
         orbit = maps.generator_orbit(cmap, skew, bal)
         maps.verify_inverse_conditions(cmap, orbit, bal, u_tilde)
         checks["inverse_conditions"] = True
-        checks["kernel_generated_by_etas"] = _generates_a2_b(G, [G.encode(e) for e in orbit.eta])
+        checks["kernel_generated_by_etas"] = _generates_a2_b(G, orbit.eta)
         checks["kernel_is_even_products"] = _even_products_match(G, skew, _even_products(G, cmap))
         checks["phi_restriction_is_automorphism"] = _restriction_is_automorphism(G, skew)
         emb = maps.genus(cmap)
@@ -338,10 +334,9 @@ def realize(
 
 
 def _plus_part_matches(G: Metacyclic, skew: SkewMorphism, z: int, w: int) -> bool:
-    a2 = G.el(2, 0)
-    img_a2 = skew.apply(a2)
-    img_b = skew.apply(G.beta())
-    return img_a2 == G.el(2 * z % G.n, 1) and img_b == G.el(0, w % G.m)
+    """``phi(a^2) = a^(2z) b`` and ``phi(b) = b^w``."""
+    phi = skew.phi
+    return int(phi[G.code(2, 0)]) == G.code(2 * z, 1) and int(phi[G.code(0, 1)]) == G.code(0, w)
 
 
 def _kernel_is_a2_b(G: Metacyclic, skew: SkewMorphism) -> bool:
@@ -397,7 +392,7 @@ def _restriction_is_automorphism(G: Metacyclic, skew: SkewMorphism) -> bool:
     phi = skew.phi
     if not np.array_equal(np.sort(phi[kernel]), kernel):
         return False
-    gens = np.array([G.encode(G.el(2, 0)), G.encode(G.beta())], dtype=np.int64)
+    gens = np.array([G.code(2, 0), G.code(0, 1)], dtype=np.int64)
     lhs = phi[G.mul_vec_outer(kernel, gens)]
     rhs = G.mul_vec_outer(phi[kernel], phi[gens])
     return bool(np.array_equal(lhs, rhs))

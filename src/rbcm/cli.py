@@ -160,7 +160,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 doc["pi_table"] = f"mismatch at {witness}"
                 failures.append(f"pi table mismatch at {witness}")
         else:
-            doc["skew"] = f"violated at ({res.eta}, {res.mu})"
+            doc["skew"] = f"violated at ({res.eta}, {res.mu}): {res.detail}"
             failures.append(doc["skew"])
     else:
         skew = maps.is_regular(cmap)
@@ -209,7 +209,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     else:
         skew = maps.check_skew(cmap, phi_arr)
         if not isinstance(skew, maps.SkewMorphism):
-            raise MapError(f"skew table invalid at ({skew.eta}, {skew.mu})")
+            raise MapError(f"skew table invalid at ({skew.eta}, {skew.mu}): {skew.detail}")
     qres = maps.quotient_map(cmap, skew, xi)
     doc = {
         "command": "quotient",

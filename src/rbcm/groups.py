@@ -132,6 +132,10 @@ class Metacyclic:
     def encode(self, g: "GroupElement") -> int:
         return g.x * self.m + g.y
 
+    def code(self, x: int, y: int) -> int:
+        """The code of ``a^x b^y`` for any integers ``x`` and ``y``."""
+        return x % self.n * self.m + y % self.m
+
     def decode(self, idx: int) -> "GroupElement":
         x, y = divmod(int(idx), self.m)
         return GroupElement(x, y, self)

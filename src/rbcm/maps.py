@@ -3,8 +3,9 @@
 A Cayley map ``CM(G, Omega, rho)`` is the embedding of the Cayley graph
 ``Cay(G, Omega)`` into the oriented surface obtained by using the cyclic
 order ``rho`` of ``Omega`` as the rotation at every vertex.  Here ``Omega``
-is stored as the ordered tuple ``(omega_1, ..., omega_d)`` and ``rho`` is
-the shift by one position.
+is stored as the encoded array ``(omega_1, ..., omega_d)`` and ``rho`` is
+the shift by one position.  Elements are written ``a^x b^y`` only in map
+documents and in the witnesses of a ``SkewFailure``.
 
 Regularity is witnessed by a skew-morphism: a bijection ``phi`` of ``G``
 fixing the identity, restricting to ``rho`` on ``Omega``, and satisfying
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,53 +47,45 @@ class VerificationError(AssertionError):
 
 
 class CayleyMap:
-    """``CM(group, omega, rho)`` with ``omega = (omega_1, .., omega_d)`` and ``rho`` the shift.
+    """``CM(group, Omega, rho)`` with ``rho`` the shift along the cycle ``Omega``.
 
-    The constructor validates ``omega``: distinct, no identity, closed under
-    inverses, and generating the group (``MapError`` otherwise).  Generation
-    is certified in closed form (``Metacyclic.generates``: parity vectors
-    spanning ``G/Phi(G)``) on 2-groups, and by ``closure_idx`` on other
-    groups.
+    ``omega_idx`` holds ``(omega_1, .., omega_d)`` as the codes ``x*m + y``;
+    the map keeps no other copy of its generators.  The constructor
+    validates it: integral codes in ``[0, |G|)``, distinct, no identity,
+    closed under inverses, and generating the group (``MapError``
+    otherwise).  Generation is certified in closed form
+    (``Metacyclic.generates``: parity vectors spanning ``G/Phi(G)``) on
+    2-groups, and by ``closure_idx`` on other groups.
     """
 
-    def __init__(self, group: Metacyclic, omega: Iterable[GroupElement]):
+    def __init__(self, group: Metacyclic, omega_idx: "list[int] | np.ndarray"):
         self.group = group
-        self.omega = tuple(omega)
-        self.d = len(self.omega)
-        if self.d == 0:
+        codes = np.asarray(omega_idx)
+        if codes.size == 0:
             raise MapError("generating sequence is empty")
-        self.omega_idx = np.array([group.encode(w) for w in self.omega], dtype=np.int64)
+        if codes.ndim != 1 or not np.issubdtype(codes.dtype, np.integer):
+            raise MapError("generators must be a sequence of integer codes")
+        if codes.min() < 0 or codes.max() >= group.order:
+            raise MapError(f"generator codes must lie in [0, {group.order})")
+        self.omega_idx = codes.astype(np.int64)
+        self.d = codes.size
         self._pos_of_idx = np.full(group.order, -1, dtype=np.int64)
         self._pos_of_idx[self.omega_idx] = np.arange(self.d)
         inv_idx = group.inv_vec(self.omega_idx)
         self.iota0 = self._pos_of_idx[inv_idx]  # 0-based position of each inverse
         if len(set(self.omega_idx.tolist())) != self.d:
             raise MapError("generators are not distinct")
-        if any(w.is_identity() for w in self.omega):
+        if np.any(self.omega_idx == 0):
             raise MapError("identity cannot be a generator")
         if np.any(self.iota0 < 0):
-            missing = self.omega[int(np.flatnonzero(self.iota0 < 0)[0])]
+            missing = group.decode(self.omega_idx[np.flatnonzero(self.iota0 < 0)[0]])
             raise MapError(f"not closed under inverses: {missing}^-1 is missing")
-        if not self.group.generates(self.omega_idx):
+        if not group.generates(self.omega_idx):
             raise MapError("generators do not generate the group")
-
-    # one-based accessors matching the usual indexing omega_1 .. omega_d
-    def omega_at(self, i: int) -> GroupElement:
-        return self.omega[(i - 1) % self.d]
-
-    def pos(self, w: GroupElement) -> int:
-        p = int(self._pos_of_idx[self.group.encode(w)])
-        if p < 0:
-            raise MapError(f"{w} is not a generator of this map")
-        return p + 1
-
-    def rho(self, w: GroupElement) -> GroupElement:
-        return self.omega[self.pos(w) % self.d]
 
     def rotate(self, shift: int) -> "CayleyMap":
         """Same map with the indexing rotated: new ``omega_i = old omega_(i+shift)``."""
-        s = shift % self.d
-        return CayleyMap(self.group, self.omega[s:] + self.omega[:s])
+        return CayleyMap(self.group, np.roll(self.omega_idx, -shift))
 
     def __repr__(self) -> str:
         return f"CayleyMap({self.group}, d={self.d})"
@@ -125,12 +118,6 @@ class SkewMorphism:
         self.group = cmap.group
         self.phi = phi
         self.pi = pi
-
-    def apply(self, g: GroupElement) -> GroupElement:
-        return self.group.decode(int(self.phi[self.group.encode(g)]))
-
-    def pi_of(self, g: GroupElement) -> int:
-        return int(self.pi[self.group.encode(g)])
 
     def kernel_mask(self) -> np.ndarray:
         return self.pi == 1
@@ -193,7 +180,8 @@ def check_skew(cmap: CayleyMap, phi: np.ndarray) -> "SkewMorphism | SkewFailure"
     bad = np.flatnonzero(pi == 0)
     if bad.size:
         eta = G.decode(int(bad[0]))
-        return SkewFailure(eta, cmap.omega[0], "phi(eta * mu0) is not phi(eta) * (generator)")
+        mu0 = G.decode(cmap.omega_idx[0])
+        return SkewFailure(eta, mu0, "phi(eta * mu0) is not phi(eta) * (generator)")
 
     block = max(1, (1 << 16) // d)  # rows per block; small blocks stay in cache
     for k in np.unique(pi):
@@ -208,7 +196,7 @@ def check_skew(cmap: CayleyMap, phi: np.ndarray) -> "SkewMorphism | SkewFailure"
                 at = np.argwhere(lhs != rhs)[0]
                 return SkewFailure(
                     G.decode(int(etas[at[0]])),
-                    cmap.omega[int(at[1])],
+                    G.decode(cmap.omega_idx[at[1]]),
                     "phi(eta * omega_i) is not phi(eta) * omega_(i+pi(eta))",
                 )
     return SkewMorphism(cmap, phi, pi)
@@ -299,6 +287,11 @@ def _propagate(cmap: CayleyMap, img0: int, shift0: int) -> "Optional[np.ndarray]
     carries its image and a label shift, and following an arc transports both
     (the reversed arc pins the shift at the far end).  Returns the vertex
     image array, or None at the first inconsistency.
+
+    Only images are compared where an arc reaches a known vertex.  Every
+    vertex is expanded, so the image law is checked on every dart and its
+    reverse, and with distinct generators that pins every label shift (the
+    reversal argument in ``check_skew``'s docstring).
     """
     G = cmap.group
     N, d = G.order, cmap.d
@@ -318,7 +311,7 @@ def _propagate(cmap: CayleyMap, img0: int, shift0: int) -> "Optional[np.ndarray]
         wis = G.mul_vec(np.int64(img[v]), omega_idx[rotated])
         deltas = (iota0[rotated] - iota0) % d
         known = img[ws] >= 0
-        if np.any(img[ws[known]] != wis[known]) or np.any(sh[ws[known]] != deltas[known]):
+        if np.any(img[ws[known]] != wis[known]):
             return None
         fresh = ws[~known]
         img[fresh] = wis[~known]
@@ -479,12 +472,13 @@ def quotient_map(cmap: CayleyMap, skew: SkewMorphism, xi: PowerSubgroup) -> Quot
     q_omega_idx = proj_om[:dq]
     if len(set(q_omega_idx.tolist())) != dq:
         raise VerificationError("projected generator cycle has repeats inside one period")
-    q_omega = [Q.decode(int(i)) for i in q_omega_idx]
-    q_cmap = CayleyMap(Q, q_omega)
+    q_cmap = CayleyMap(Q, q_omega_idx)
 
     res = check_skew(q_cmap, qphi)
     if not isinstance(res, SkewMorphism):
-        raise VerificationError(f"quotient failed the skew check at ({res.eta}, {res.mu})")
+        raise VerificationError(
+            f"quotient failed the skew check at ({res.eta}, {res.mu}): {res.detail}"
+        )
     q_bal = balance_data(q_cmap)
     if q_bal is None:
         raise VerificationError("quotient map lost t-balance")
@@ -506,11 +500,11 @@ class GeneratorOrbit:
 
     On a map with kernel ``<a^2, b>`` each ``eta_j = a^(2 u_j) b^(v_j)`` and
     the products ``eta_i ... eta_1 = a^(2 f_i) b^(g_i)`` recover
-    ``omega_i = (eta_i ... eta_1) omega_d``.  All stored sequences are
-    one-based: entry ``j-1`` is the value at index ``j``.
+    ``omega_i = (eta_i ... eta_1) omega_d``.  ``eta`` is encoded.  All
+    stored sequences are one-based: entry ``j-1`` is the value at index ``j``.
     """
 
-    eta: "tuple[GroupElement, ...]"
+    eta: np.ndarray
     u: "tuple[int, ...]"
     v: "tuple[int, ...]"
     f: "tuple[int, ...]"
@@ -521,39 +515,30 @@ def generator_orbit(cmap: CayleyMap, skew: SkewMorphism, bal: BalanceData) -> Ge
     G = cmap.group
     d = cmap.d
     n_half, m = G.n // 2, G.m
-    etas = []
-    for j in range(1, d + 1):
-        w_j = cmap.omega_at(j)
-        w_prev = cmap.omega_at(j - 1)
-        eta = G.mul(w_j, G.inv(w_prev))
-        # the inverse identity: omega_(j-1)^-1 = omega_(ell + t(j-1))
-        alt = G.mul(w_j, cmap.omega_at(bal.ell + bal.t * (j - 1)))
-        if eta != alt:
-            raise VerificationError(f"inverse bookkeeping fails at j={j}")
-        if skew.pi_of(eta) != 1:
-            raise VerificationError(f"eta_{j} is outside the power-function kernel")
-        if eta.x % 2:
-            raise VerificationError(f"eta_{j} has odd a-exponent; kernel is not <a^2, b>")
-        etas.append(eta)
-    for j in range(d):
-        if skew.apply(etas[j]) != etas[(j + 1) % d]:
-            raise VerificationError(f"phi(eta_{j + 1}) != eta_{j + 2}")
+    w = cmap.omega_idx  # w[j-1] = omega_j, w[-1] = omega_d = omega_0
+    eta = G.mul_vec(w, G.inv_vec(np.roll(w, 1)))
+    # the inverse identity: omega_(j-1)^-1 = omega_(ell + t(j-1))
+    alt = G.mul_vec(w, w[(bal.ell + bal.t * np.arange(d) - 1) % d])
+    for test, what in (
+        (eta != alt, "inverse bookkeeping fails"),
+        (skew.pi[eta] != 1, "eta_j is outside the power-function kernel"),
+        ((eta // m) % 2 == 1, "eta_j has odd a-exponent; kernel is not <a^2, b>"),
+        (skew.phi[eta] != np.roll(eta, -1), "phi(eta_j) != eta_(j+1)"),
+    ):
+        if np.any(test):
+            raise VerificationError(f"{what} at j={int(np.flatnonzero(test)[0]) + 1}")
 
-    u = tuple(e.x // 2 for e in etas)
-    v = tuple(e.y for e in etas)
-    f, g = [], []
-    prod = G.identity()
-    w_d_inv = G.inv(cmap.omega_at(0))
-    for j in range(1, d + 1):
-        prod = G.mul(etas[j - 1], prod)
-        if prod != G.mul(cmap.omega_at(j), w_d_inv):
-            raise VerificationError(f"prefix product mismatch at i={j}")
-        f.append(prod.x // 2)
-        g.append(prod.y)
+    u = tuple((eta // m // 2).tolist())
+    v = tuple((eta % m).tolist())
+    w_d_inv = G.inv_vec(w[-1])
+    prod = G.mul_vec(w, w_d_inv)  # omega_j omega_d^-1, to be eta_j ... eta_1
+    before = np.concatenate(([0], prod[:-1]))  # the identity (code 0) before eta_1
+    if np.any(G.mul_vec(eta, before) != prod):
+        raise VerificationError("prefix products of the eta_j are not omega_j omega_d^-1")
+    f = tuple((prod // m // 2).tolist())
+    g = tuple((prod % m).tolist())
     # omega_d^-2 = eta_ell ... eta_1
-    lhs = G.pow(w_d_inv, 2)
-    rhs = G.el(2 * f[bal.ell - 1], g[bal.ell - 1])
-    if lhs != rhs:
+    if G.mul_vec(w_d_inv, w_d_inv) != prod[bal.ell - 1]:
         raise VerificationError("omega_d^-2 != eta_ell ... eta_1")
     # closed forms for g_i and f_i
     for i in range(1, d + 1):
@@ -564,7 +549,7 @@ def generator_orbit(cmap: CayleyMap, skew: SkewMorphism, bal: BalanceData) -> Ge
             acc += pow(G.r, (g[i - 1] - g[j - 1]) % m, n_half) * u[j - 1]
         if (acc - f[i - 1]) % n_half:
             raise VerificationError(f"f_{i} disagrees with the twisted u-sum")
-    return GeneratorOrbit(tuple(etas), u, v, tuple(f), tuple(g))
+    return GeneratorOrbit(eta, u, v, f, g)
 
 
 def verify_inverse_conditions(
@@ -580,9 +565,9 @@ def verify_inverse_conditions(
     G = cmap.group
     n, n_half, m = G.n, G.n // 2, G.m
     d = cmap.d
-    w_d = cmap.omega_at(0)
-    if w_d.y != 1 or w_d.x != u_tilde % n:
-        raise VerificationError(f"base generator {w_d} is not a^{u_tilde} b")
+    w_d = int(cmap.omega_idx[-1])
+    if w_d != G.code(u_tilde, 1):
+        raise VerificationError(f"base generator {G.decode(w_d)} is not a^{u_tilde} b")
     r_inv = pow(G.r, -1, n)
     for i in range(1, d + 1):
         idx = ((bal.ell + bal.t * i - 1) % d) + 1
@@ -609,13 +594,14 @@ class AbelianRbcmProfile:
 
     ``theta_j = mu_j - mu_(j-1)`` are consecutive generator differences;
     the kernel decomposes as ``Z_(2^k') x Z_(2^k)`` with ``theta_1`` of full
-    order and ``(theta_1, theta_1 + theta_2)`` an adapted basis.
+    order and ``(theta_1, theta_1 + theta_2)`` an adapted basis.  ``theta1``
+    and ``theta2`` are encoded.
     """
 
     k_prime: int
     k: int
-    theta1: GroupElement
-    theta2: GroupElement
+    theta1: int
+    theta2: int
     valency: int
     t: int
     map_type: str
@@ -638,17 +624,18 @@ def abelian_profile_check(qres: QuotientMapResult) -> AbelianRbcmProfile:
     if k_prime < k:
         raise VerificationError("kernel exponent smaller than its complement")
 
-    theta1 = Q.mul(qres.cmap.omega_at(1), Q.inv(qres.cmap.omega_at(0)))
-    theta2 = Q.mul(qres.cmap.omega_at(2), Q.inv(qres.cmap.omega_at(1)))
-    s12 = Q.mul(theta1, theta2)
-    d12 = Q.mul(theta1, Q.inv(theta2))
-    if Q.element_order(theta1) != 1 << k_prime:
+    w = qres.cmap.omega_idx
+    theta1, theta2 = (int(v) for v in Q.mul_vec(w[[0, 1 % w.size]], Q.inv_vec(w[[-1, 0]])))
+    s12 = int(Q.mul_vec(theta1, theta2))
+    d12 = Q.mul_vec(theta1, Q.inv_vec(theta2))
+    o1, o_sum, o_diff = (Q.element_order(Q.decode(v)) for v in (theta1, s12, d12))
+    if o1 != 1 << k_prime:
         raise VerificationError("theta_1 does not have full kernel order")
-    if Q.element_order(s12) != 1 << k:
+    if o_sum != 1 << k:
         raise VerificationError("theta_1 + theta_2 does not have order 2^k")
-    if Q.element_order(d12) != 1 << max(k_prime - 1, k):
+    if o_diff != 1 << max(k_prime - 1, k):
         raise VerificationError("theta_1 - theta_2 has the wrong order")
-    span = Q.closure_idx([Q.encode(theta1), Q.encode(s12)])
+    span = Q.closure_idx([theta1, s12])
     if span.size != kernel.size or set(span.tolist()) != set(kernel.tolist()):
         raise VerificationError("(theta_1, theta_1 + theta_2) is not a kernel basis")
 
@@ -708,10 +695,10 @@ def _closed_form_faces(cmap: CayleyMap, direction: int) -> int:
     G = cmap.group
     faces = 0
     for cycle in perm_cycles((cmap.iota0 + direction) % cmap.d):
-        prod = G.identity()
+        prod = 0  # the identity
         for j in cycle:
-            prod = G.mul(prod, cmap.omega[j])
-        faces += G.order // G.element_order(prod)
+            prod = G.mul_vec(prod, cmap.omega_idx[j])
+        faces += G.order // G.element_order(G.decode(prod))
     return faces
 
 
@@ -753,7 +740,7 @@ def perm_cycles(perm: np.ndarray) -> "list[list[int]]":
 def map_to_json_dict(cmap: CayleyMap, skew: "Optional[SkewMorphism]" = None) -> dict:
     doc = {
         "group": str(cmap.group),
-        "omega": [[w.x, w.y] for w in cmap.omega],
+        "omega": [[w.x, w.y] for w in map(cmap.group.decode, cmap.omega_idx)],
     }
     if skew is not None:
         doc["skew"] = skew.to_json_dict()
@@ -764,10 +751,10 @@ def map_from_json_dict(doc: dict) -> "tuple[CayleyMap, Optional[np.ndarray], Opt
     """Parse a map document; returns (map, phi array or None, pi array or None)."""
     try:
         group = parse_group(doc["group"])
-        omega = [group.el(int(x), int(y)) for x, y in doc["omega"]]
+        omega_idx = [group.code(int(x), int(y)) for x, y in doc["omega"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise MapError(f"malformed map document: {exc}") from exc
-    cmap = CayleyMap(group, omega)
+    cmap = CayleyMap(group, omega_idx)
     phi_arr = pi_arr = None
     if "skew" in doc:
         try:

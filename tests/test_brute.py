@@ -71,7 +71,7 @@ class TestEnumerate:
         assert len(res) == 1
         fm = res[0]
         assert fm.balance.t == 1 and fm.cmap.d == 2
-        assert {w.x for w in fm.cmap.omega} == {1, 3}
+        assert set(fm.cmap.omega_idx.tolist()) == {1, 3}  # a, a^3
 
     def test_all_outputs_reverify(self):
         for G in (Z4, Z8, Z2X4, L823):

@@ -59,7 +59,7 @@ def skew_pool() -> "list[tuple[CayleyMap, np.ndarray]]":
 
 
 def reordered(cmap: CayleyMap, order: "list[int]") -> CayleyMap:
-    return CayleyMap(cmap.group, [cmap.omega[i] for i in order])
+    return CayleyMap(cmap.group, cmap.omega_idx[order])
 
 
 def tamper(data, cmap: CayleyMap, phi: np.ndarray) -> "tuple[CayleyMap, np.ndarray]":
@@ -135,9 +135,8 @@ def test_closed_form_faces_match_tracing_on_any_cayley_map(data):
     G = parse_group(data.draw(st.sampled_from(ANY_MAP_GROUPS)))
     picks = data.draw(st.lists(st.integers(1, G.order - 1), min_size=2, max_size=4, unique=True))
     gens = sorted(set(picks) | set(G.inv_vec(np.array(picks)).tolist()))
-    omega = [G.decode(i) for i in data.draw(st.permutations(gens))]
     try:
-        cm = CayleyMap(G, omega)
+        cm = CayleyMap(G, data.draw(st.permutations(gens)))
     except MapError:
         assume(False)
     assert genus(cm).faces == oracles.traced_face_count(cm, +1)
@@ -151,7 +150,7 @@ def test_dart_certificate_covers_every_row_block():
     # fails only on rows near a^(n-2), all in the last blocks.
     n = 1 << 15
     G = Metacyclic(n, 2, 1)
-    cmap = CayleyMap(G, [G.el(1, 0), G.el(-1, 0), G.el(1, 1), G.el(-1, 1)])
+    cmap = CayleyMap(G, [G.code(1, 0), G.code(-1, 0), G.code(1, 1), G.code(-1, 1)])
     x, y = np.divmod(G.all_idx(), 2)
     phi = (-x % n) * 2 + (y + x * (x - 1) // 2) % 2
     assert isinstance(check_skew(cmap, phi), SkewMorphism)
@@ -183,7 +182,7 @@ def test_propagation_certificate_matches_dart_certificate(data):
         picks = data.draw(st.lists(st.integers(1, G.order - 1), min_size=1, max_size=4))
         gens = sorted(set(picks) | set(G.inv_vec(np.array(picks)).tolist()))
         try:
-            cmap = CayleyMap(G, [G.decode(i) for i in data.draw(st.permutations(gens))])
+            cmap = CayleyMap(G, data.draw(st.permutations(gens)))
         except MapError:
             assume(False)
     G = cmap.group

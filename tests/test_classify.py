@@ -99,7 +99,7 @@ class TestRealize:
     def test_eta_check_rejects_generators_of_a_b2(self):
         r = realize(7, 3, 4, 0)
         G = r.cmap.group
-        assert _generates_a2_b(G, [G.encode(e) for e in r.orbit.eta])
+        assert _generates_a2_b(G, r.orbit.eta)
         # <a, b^2> has the order of <a^2, b>, so a check on the size of the
         # span alone accepts these generators
         gens = [G.encode(G.alpha()), G.encode(G.el(0, 2)), G.encode(G.el(3, 4))]
@@ -120,16 +120,15 @@ class TestRealize:
     def test_phi_construction(self):
         r = realize(7, 3, 4, 0)
         G = r.cmap.group
-        omega_d = r.cmap.omega_at(0)
-        assert omega_d == G.el(r.solution.u_tilde, 1)
-        assert r.skew.apply(omega_d) == r.cmap.omega_at(1)
+        omega_d = r.cmap.omega_idx[-1]
+        assert omega_d == G.encode(G.el(r.solution.u_tilde, 1))
+        assert r.skew.phi[omega_d] == r.cmap.omega_idx[0]
 
     def test_pi_values(self):
         r = realize(7, 3, 4, 1)
         t = r.solution.t
         assert set(r.skew.pi.tolist()) == {1, t}
-        for w in r.cmap.omega:
-            assert r.skew.pi_of(w) == t
+        assert np.all(r.skew.pi[r.cmap.omega_idx] == t)
 
     def test_skew_order_equals_valency(self):
         r = realize(7, 3, 4, 2)

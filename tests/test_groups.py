@@ -181,6 +181,12 @@ class TestVectorized:
                 assert G.decode(int(prod[i])) == G.mul(G.decode(int(a[i])), G.decode(int(b[i])))
                 assert G.decode(int(inv[i])) == G.inv(G.decode(int(a[i])))
 
+    def test_code_matches_encode(self):
+        for G in (L823, Metacyclic(12, 2, 5)):
+            for x in range(-G.n, 2 * G.n):
+                for y in range(-G.m, 2 * G.m):
+                    assert G.code(x, y) == G.encode(G.el(x, y))
+
     def test_outer_matches_mul_vec(self):
         G = L1645
         rows = np.array([3, 17, 40], dtype=np.int64)

@@ -60,3 +60,38 @@ def test_every_definition_has_a_caller_in_src():
 def test_entry_points_exist():
     defined, _ = _definitions_and_uses()
     assert set(ENTRY_POINTS) <= set(defined)
+
+
+# Maps hold their generators and skew tables encoded (``x*m + y``) only; these
+# are the object accessors of a second element representation.
+OBJECT_ACCESSORS = {"omega", "omega_at", "pos", "rho", "apply", "pi_of"}
+
+
+def _class_members(module: str, cls: str) -> "set[str]":
+    """Methods and class attributes of a class, and the ``self.<name>`` it assigns."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    (node,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+    members = set()
+    for stmt in node.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            members.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            members.update(t.id for t in targets if isinstance(t, ast.Name))
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+        ):
+            members.add(sub.attr)
+    return members
+
+
+def test_maps_keep_one_element_representation():
+    cayley_map = _class_members("maps", "CayleyMap")
+    skew = _class_members("maps", "SkewMorphism")
+    assert {"omega_idx", "rotate"} <= cayley_map and {"phi", "pi"} <= skew
+    assert cayley_map & OBJECT_ACCESSORS == set()
+    assert skew & OBJECT_ACCESSORS == set()

@@ -5,7 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
+from test_certificates import ANY_MAP_GROUPS, realized_maps
 from rbcm import autos, brute, maps
 from rbcm.groups import DeltaParams, Metacyclic, PowerSubgroup, parse_group
 from rbcm.maps import (
@@ -36,7 +38,7 @@ Z3 = Metacyclic(3, 1, 1)
 
 
 def cyclic_map(G, values):
-    return CayleyMap(G, [G.el(v, 0) for v in values])
+    return CayleyMap(G, [G.code(v, 0) for v in values])
 
 
 def doubling_phi():
@@ -53,13 +55,15 @@ class TestCayleyMap:
             cyclic_map(Metacyclic(8, 1, 1), [2, 6])
         with pytest.raises(MapError, match="distinct"):
             cyclic_map(Z5, [1, 1, 4, 4])
-
-    def test_rho(self):
-        cm = cyclic_map(Z5, [1, 2, 4, 3])
-        assert cm.rho(Z5.el(1, 0)) == Z5.el(2, 0)
-        assert cm.rho(Z5.el(3, 0)) == Z5.el(1, 0)
-        assert cm.omega_at(5) == cm.omega_at(1)
-        assert cm.pos(Z5.el(4, 0)) == 3
+        # codes outside [0, |G|) would wrap silently as numpy indices
+        with pytest.raises(MapError, match="lie in"):
+            CayleyMap(Z5, [1, -1])
+        with pytest.raises(MapError, match="lie in"):
+            CayleyMap(Z5, [1, 4, 5])
+        with pytest.raises(MapError, match="integer"):
+            CayleyMap(Z5, [1.5, 3.5])
+        with pytest.raises(MapError, match="empty"):
+            CayleyMap(Z5, [])
 
 
 class TestCheckSkew:
@@ -106,13 +110,14 @@ class TestCheckSkew:
     def test_exhaustive_law(self):
         cm = cyclic_map(Z5, [1, 2, 4, 3])
         skew = check_skew(cm, doubling_phi())
-        G = Z5
+        G, phi = Z5, skew.phi
         for eta in G.elements():
             for mu in G.elements():
-                image = mu
-                for _ in range(skew.pi_of(eta)):
-                    image = skew.apply(image)
-                assert skew.apply(G.mul(eta, mu)) == G.mul(skew.apply(eta), image)
+                image = G.encode(mu)
+                for _ in range(skew.pi[G.encode(eta)]):
+                    image = phi[image]
+                lhs = G.decode(phi[G.encode(G.mul(eta, mu))])
+                assert lhs == G.mul(G.decode(phi[G.encode(eta)]), G.decode(image))
 
 
 class TestBalance:
@@ -152,7 +157,7 @@ class TestBalance:
         # the result is a rotation of the same cyclic sequence
         ref = [Z5.encode(Z5.el(v, 0)) for v in (2, 4, 3, 1)]
         doubled = ref + ref
-        got = [Z5.encode(w) for w in cm2.omega]
+        got = cm2.omega_idx.tolist()
         assert any(doubled[s : s + 4] == got for s in range(4))
 
 
@@ -321,10 +326,42 @@ class TestJson:
         skew = is_regular(cm)
         doc = map_to_json_dict(cm, skew)
         cm2, phi, pi = map_from_json_dict(json.loads(canonical_json(doc)))
-        assert cm2.omega == cm.omega
+        assert np.array_equal(cm2.omega_idx, cm.omega_idx)
         assert np.array_equal(phi, skew.phi)
         assert np.array_equal(pi, skew.pi)
 
     def test_malformed(self):
         with pytest.raises(MapError, match="malformed"):
             map_from_json_dict({"group": "L(8,2,3)"})
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_json_round_trip_of_random_maps(data):
+    """Documents are the boundary where codes become ``a^x b^y`` and back:
+    parsing a serialized map gives back its codes and tables, and serializing
+    the parsed map gives the same bytes."""
+    name = data.draw(st.sampled_from(ANY_MAP_GROUPS + ("D(7,3,4)",)))
+    G = parse_group(name)
+    if name == "D(7,3,4)" and data.draw(st.booleans()):
+        # a rotated realized map: regular, so its document carries the tables
+        cm = data.draw(st.sampled_from([cm for cm, _ in realized_maps(7, 3, 4)]))
+        cm = cm.rotate(data.draw(st.integers(0, cm.d - 1)))
+    else:
+        picks = data.draw(st.lists(st.integers(1, G.order - 1), min_size=1, max_size=4, unique=True))
+        gens = sorted(set(picks) | set(G.inv_vec(np.array(picks)).tolist()))
+        try:
+            cm = CayleyMap(G, data.draw(st.permutations(gens)))
+        except MapError:
+            assume(False)
+    skew = is_regular(cm)
+    event("regular" if skew is not None else "not regular")
+    text = canonical_json(map_to_json_dict(cm, skew))
+    cm2, phi, pi = map_from_json_dict(json.loads(text))
+    assert np.array_equal(cm2.omega_idx, cm.omega_idx)
+    if skew is None:
+        assert phi is None and pi is None
+    else:
+        assert np.array_equal(phi, skew.phi) and np.array_equal(pi, skew.pi)
+    again = map_to_json_dict(cm2, None if phi is None else check_skew(cm2, phi))
+    assert canonical_json(again) == text
