@@ -29,10 +29,12 @@ from .maps import BalanceData, CayleyMap, SkewMorphism, orbit_walk, perm_cycles,
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Hard limits enforced before and during searches."""
+    """Hard limits enforced before and during searches.
 
-    max_order: int = 64
-    max_candidates: int = 5_000_000
+    ``max_order=None`` leaves each search its own ceiling on the group order.
+    """
+
+    max_order: "Optional[int]" = None
     time_limit_s: "Optional[float]" = None
 
 
@@ -40,6 +42,13 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial if partial is not None else []
+
+
+def _check_order(G: Metacyclic, budget: SearchBudget, ceiling: int) -> None:
+    """Refuse ``G`` above the budget's order limit, or above ``ceiling`` if it sets none."""
+    limit = ceiling if budget.max_order is None else budget.max_order
+    if G.order > limit:
+        raise BudgetExceeded(f"order {G.order} exceeds the budget {limit}")
 
 
 @dataclass
@@ -59,22 +68,22 @@ class FoundMap:
 
 # -- automorphism enumeration by generator images ------------------------------
 
+MAX_AUT_CANDIDATES = 5_000_000  # (image of a, image of b) pairs scanned at most
+
 
 def enumerate_automorphisms(
-    G: Metacyclic, budget: "Optional[SearchBudget]" = None
+    G: Metacyclic, budget: SearchBudget = SearchBudget()
 ) -> "list[tuple[GroupElement, GroupElement]]":
     """All (image of a, image of b) pairs preserving the relations and generating.
 
     A candidate pair induces the map ``a^x b^y -> A^x B^y``; the relations
     make it a homomorphism and bijectivity makes it an automorphism.
     """
-    budget = budget or SearchBudget(max_order=1 << 12)
-    if G.order > budget.max_order:
-        raise BudgetExceeded(f"order {G.order} exceeds the budget {budget.max_order}")
+    _check_order(G, budget, 1 << 12)
     orders = {g: G.element_order(g) for g in G.elements()}
     a_cands = [g for g, o in orders.items() if o == G.element_order(G.alpha())]
     b_cands = [g for g, o in orders.items() if o == G.element_order(G.beta())]
-    if len(a_cands) * len(b_cands) > budget.max_candidates:
+    if len(a_cands) * len(b_cands) > MAX_AUT_CANDIDATES:
         raise BudgetExceeded(
             f"{len(a_cands)}x{len(b_cands)} candidate pairs exceed the budget"
         )
@@ -109,7 +118,7 @@ def _pair_perm(G: Metacyclic, A: GroupElement, B: GroupElement) -> np.ndarray:
 _PERM_CACHE: "dict[Metacyclic, list[np.ndarray]]" = {}
 
 
-def automorphism_perms(G: Metacyclic, budget: "Optional[SearchBudget]" = None) -> "list[np.ndarray]":
+def automorphism_perms(G: Metacyclic, budget: SearchBudget = SearchBudget()) -> "list[np.ndarray]":
     if G not in _PERM_CACHE:
         _PERM_CACHE[G] = [
             _pair_perm(G, A, B) for A, B in enumerate_automorphisms(G, budget)
@@ -211,7 +220,12 @@ def _dedupe(found: "list[FoundMap]", aut_perms: "list[np.ndarray]") -> "list[Fou
 
 
 def _reverify(G: Metacyclic, omega_idx: "list[int]") -> "Optional[FoundMap]":
-    """Re-check an encoded candidate cycle from definitions alone; None if any check fails."""
+    """Re-check an encoded candidate cycle from definitions alone; None if any check fails.
+
+    Inverse closure is tested first, in ``O(d)``, before any map is built.
+    """
+    if not set(G.inv_vec(np.asarray(omega_idx, dtype=np.int64)).tolist()) <= set(omega_idx):
+        return None
     try:
         cmap = CayleyMap(G, omega_idx)
     except maps.MapError:
@@ -229,7 +243,7 @@ def _reverify(G: Metacyclic, omega_idx: "list[int]") -> "Optional[FoundMap]":
 
 
 def enumerate_rbcm(
-    G: Metacyclic, budget: "Optional[SearchBudget]" = None, exhaustive: bool = False
+    G: Metacyclic, budget: SearchBudget = SearchBudget(), exhaustive: bool = False
 ) -> "list[FoundMap]":
     """All regular t-balanced maps on ``G`` up to isomorphism.
 
@@ -241,22 +255,11 @@ def enumerate_rbcm(
     ``exhaustive=True`` every output is also re-certified by the arc-image
     counting oracle.
     """
-    budget = budget or SearchBudget()
-    if G.order > budget.max_order:
-        raise BudgetExceeded(f"order {G.order} exceeds the budget {budget.max_order}")
+    _check_order(G, budget, 64)
     start = time.monotonic()
     aut_perms = automorphism_perms(G, SearchBudget(max_order=max(64, G.order)))
     found: "list[FoundMap]" = []
-
-    # balanced arm: inverse-closed generating orbits of automorphisms
-    for perm in aut_perms:
-        for orbit in perm_cycles(perm):
-            if 0 in orbit:
-                continue
-            fm = _reverify(G, orbit)
-            if fm is not None:
-                found.append(fm)
-        _check_time(start, budget, found)
+    _balanced_arm(G, aut_perms, start, budget, found)
 
     # t > 1 arm: kernel subgroup + automorphism + coset seeds
     for H in index2_subgroups(G):
@@ -289,6 +292,22 @@ def enumerate_rbcm(
     return result
 
 
+def _balanced_arm(
+    G: Metacyclic, aut_perms: "list[np.ndarray]", start: float, budget: SearchBudget,
+    found: "list[FoundMap]",
+) -> None:
+    """Append the maps whose rotation extends to an automorphism: the
+    inverse-closed generating cycles of ``aut_perms``."""
+    for perm in aut_perms:
+        for orbit in perm_cycles(perm):
+            if 0 in orbit:
+                continue
+            fm = _reverify(G, orbit)
+            if fm is not None:
+                found.append(fm)
+        _check_time(start, budget, found)
+
+
 def _check_time(start: float, budget: SearchBudget, partial) -> None:
     if budget.time_limit_s is not None and time.monotonic() - start > budget.time_limit_s:
         raise BudgetExceeded("time limit exceeded", partial)
@@ -298,7 +317,7 @@ def _check_time(start: float, budget: SearchBudget, partial) -> None:
 
 
 def naive_enumerate_rbcm(
-    G: Metacyclic, budget: "Optional[SearchBudget]" = None
+    G: Metacyclic, budget: SearchBudget = SearchBudget()
 ) -> "list[FoundMap]":
     """Scan all balanced-compatible generating sequences; regularity by propagation.
 
@@ -309,9 +328,7 @@ def naive_enumerate_rbcm(
     cyclic ordering appears once.  Survivors are certified with the
     arc-image counting oracle.
     """
-    budget = budget or SearchBudget(max_order=32)
-    if G.order > budget.max_order:
-        raise BudgetExceeded(f"order {G.order} exceeds the naive budget {budget.max_order}")
+    _check_order(G, budget, 32)
     start = time.monotonic()
     codes = G.all_idx()[1:]  # every element but the identity, encoded
     inverses = G.inv_vec(codes)
@@ -444,7 +461,7 @@ def prune_predicates(a: int, b: int, c: int, phi_plus: autos.AutoParams) -> "dic
 
 
 def guided_search_delta(
-    a: int, b: int, c: int, budget: "Optional[SearchBudget]" = None
+    a: int, b: int, c: int, budget: SearchBudget = SearchBudget()
 ) -> GuidedResult:
     """Exhaustive search for maps on ``D(a,b,c)``, pruned by necessary conditions.
 
@@ -456,31 +473,14 @@ def guided_search_delta(
     balanced arm (rotation extending to an automorphism) is scanned as well.
     Every survivor is re-verified from definitions.
     """
-    budget = budget or SearchBudget(max_order=1 << 14, time_limit_s=None)
-    params = DeltaParams(a, b, c)
-    G = params.group()
-    if G.order > budget.max_order:
-        raise BudgetExceeded(f"order {G.order} exceeds the budget {budget.max_order}")
+    G = DeltaParams(a, b, c).group()
+    _check_order(G, budget, 1 << 14)
     start = time.monotonic()
     stats = {"kernel_candidates": 0, "pairs_scanned": 0, "pairs_surviving": 0}
     found: "list[FoundMap]" = []
 
-    # balanced arm
     aut_perms = [autos.as_perm(p) for p in autos.aut_group(G)]
-    for perm in aut_perms:
-        for orbit in perm_cycles(perm):
-            if 0 in orbit or len(orbit) < 2:
-                continue
-            orbit_set = set(orbit)
-            inv = G.inv_vec(np.array(orbit, dtype=np.int64))
-            if any(int(i) not in orbit_set for i in inv):
-                continue
-            if not G.generates(orbit):
-                continue
-            fm = _reverify(G, orbit)
-            if fm is not None:
-                found.append(fm)
-    _check_time(start, budget, found)
+    _balanced_arm(G, aut_perms, start, budget, found)
 
     pres = plus_presentation(G)
     sub = pres.group

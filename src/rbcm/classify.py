@@ -18,8 +18,12 @@ congruences (written for ``l' = (l-1)/2``, ``s = z [z]_r``,
   (C4)  deg2(t+1) >= a - c + 2
 
 together with ``u~ = l (2 - (z^2-1)/2^(c-1)) - 4 (mod 2^(a-c))`` and
-``0 < u~ < 2^(a-c)``.  The data ``(t, d, l)`` is not assumed: it is read
-off the realized map and fed back until the residues are a fixed point.
+``0 < u~ < 2^(a-c)``.  Every class is realized at ``l = 1`` in one pass.
+There ``l' = 0``, so (C1) reads ``v1 = -2`` and (C2) reads
+``u1 = -(1 + 2^(c-1)(v1-1)) u~``: the residues are in closed form, and
+together they say ``omega_1 = omega_d^-1``, which is ``iota(d) = 1``.  The
+offset read back off the built map is therefore ``l = 1`` again; ``realize``
+checks that, and (C1)-(C4) are re-checked with the ``(t, l)`` it reads.
 """
 
 from __future__ import annotations
@@ -96,9 +100,6 @@ class ClassificationSolution:
     u_tilde: int
     u1: int
     v1: int
-    s: int
-    ell_prime: int
-    t_prime: int
     t: int
     d: int
     ell: int
@@ -142,46 +143,16 @@ class RealizedRbcm:
         return all(self.checks.values())
 
 
-def _residues_for(a: int, b: int, c: int, z: int, w: int, ell: int) -> "tuple[int, int, int]":
-    """``(u~, u1, v1)`` solving (C1)-(C3) for the given offset ``ell``.
-
-    ``u~`` comes from its closed-form congruence; ``u1`` and ``v1`` are then
-    the joint fixed point of (C2) and (C1).  The self-references carry a
-    factor of at least ``2^2``, so the 2-adic iteration contracts.
-    """
-    mod_x = 1 << (a - 1)
-    mod_y = 1 << b
-    mod_u = 1 << (a - c)
-    if ell % 2 == 0:
-        raise InternalInconsistency(f"offset ell={ell} must be odd")
-    lp = (ell - 1) // 2
+def _residues_for(a: int, b: int, c: int, z: int) -> "tuple[int, int, int]":
+    """``(u~, u1, v1)`` solving (C1)-(C3) at the offset ``l = 1``, in closed form."""
     zz = z * z - 1
     if zz % (1 << (c - 1)):
         raise InternalInconsistency(f"z^2 = 1 (mod 2^(c-1)) fails for z={z}")
-    delta = zz >> (c - 1)
-    u_tilde = (ell * (2 - delta) - 4) % mod_u
+    u_tilde = (-2 - (zz >> (c - 1))) % (1 << (a - c))
     if u_tilde % 2 == 0:
         raise InternalInconsistency("u~ came out even")
-
-    divisor = (1 + lp * (w + 1)) % mod_y
-    if divisor % 2 == 0:
-        raise InternalInconsistency("v1 denominator 1 + l'(w+1) is even")
-    div_inv = pow(divisor, -1, mod_y) if mod_y > 1 else 0
-
-    u1, v1 = 1, 0
-    for _ in range(2 * a + 4):
-        v1_new = (-(2 + lp * u1) * div_inv) % mod_y
-        u_prime = ((z + 1 + (1 << (c - 1)) * (u1 + 2 * v1_new + 1)) * u1) % mod_x
-        u1_new = (
-            -lp * u_prime
-            + lp * (lp - 1) * (z + 1) ** 2
-            - (1 + (1 << (c - 1)) * (v1_new - 1)) * u_tilde
-        ) % mod_x
-        if u1_new == u1 and v1_new == v1:
-            break
-        u1, v1 = u1_new, v1_new
-    else:
-        raise InternalInconsistency("residue fixed point did not converge")
+    v1 = -2 % (1 << b)
+    u1 = -(1 + (1 << (c - 1)) * (v1 - 1)) * u_tilde % (1 << (a - 1))
     return u_tilde, u1, v1
 
 
@@ -214,7 +185,7 @@ def _verify_conditions(
 
 
 def _build_phi(
-    G: Metacyclic, a: int, b: int, z: int, w: int, u_tilde: int, u1: int, v1: int
+    G: Metacyclic, z: int, w: int, u_tilde: int, u1: int, v1: int
 ) -> "tuple[np.ndarray, int]":
     """The candidate skew-morphism as a permutation array, and the encoded ``omega_d``.
 
@@ -249,9 +220,10 @@ def realize(
     to realize classes outside the canonical ``z1`` range, e.g. when testing
     that ``z`` and ``z + 2^(a-2)`` give isomorphic maps.
 
-    Both levels run the residues, the fixed point for ``(t, d, ell)``,
-    the congruence checks and the dart certificate of ``maps.check_skew``,
-    which proves the skew law on all ``|G|^2`` pairs in ``O(|G| d)``.
+    Both levels run the closed-form residues, one build of the map (whose
+    offset must read back as ``ell = 1``), the congruence checks and the
+    dart certificate of ``maps.check_skew``, which proves the skew law on
+    all ``|G|^2`` pairs in ``O(|G| d)``.
     Every generation proof (``Omega`` generates ``G``; the ``eta_i`` and the
     even products generate ``ker pi = <a^2, b>``) is the closed-form parity
     span of ``Metacyclic.generates``, exact on these 2-groups by the
@@ -275,34 +247,19 @@ def realize(
     w = (1 - (1 << (c - 2))) % (1 << b)
     G = DeltaParams(a, b, c).group()
 
-    ell = 1
-    seen = set()
-    for _ in range(8):
-        u_tilde, u1, v1 = _residues_for(a, b, c, z, w, ell)
-        phi, omega_d = _build_phi(G, a, b, z, w, u_tilde, u1, v1)
-        orbit_idx = maps.orbit_walk(phi, omega_d)
-        if orbit_idx is None:
-            raise InternalInconsistency("orbit failed to close")
-        cmap = CayleyMap(G, orbit_idx)
-        bal = maps.balance_data(cmap)
-        if bal is None:
-            raise InternalInconsistency("constructed map is not t-balanced")
-        if bal.ell == ell:
-            break
-        if (ell, bal.ell) in seen:
-            raise InternalInconsistency("(t, d, ell) fixed point cycled")
-        seen.add((ell, bal.ell))
-        ell = bal.ell
-    else:
-        raise InternalInconsistency("(t, d, ell) fixed point did not stabilize")
+    u_tilde, u1, v1 = _residues_for(a, b, c, z)
+    phi, omega_d = _build_phi(G, z, w, u_tilde, u1, v1)
+    orbit_idx = maps.orbit_walk(phi, omega_d)
+    if orbit_idx is None:
+        raise InternalInconsistency("orbit failed to close")
+    cmap = CayleyMap(G, orbit_idx)
+    bal = maps.balance_data(cmap)
+    if bal is None or bal.ell != 1:
+        raise InternalInconsistency(f"constructed map is not t-balanced with ell = 1: {bal}")
 
-    t, d = bal.t, cmap.d
+    t, d, ell = bal.t, cmap.d, bal.ell
     _verify_conditions(a, b, c, z, w, ell, t, u_tilde, u1, v1)
-    s = z * geom_sum_mod(G.r, z, mod_x) % mod_x
-    solution = ClassificationSolution(
-        a, b, c, z1, z, w, u_tilde, u1 % mod_x, v1 % (1 << b),
-        s, (ell - 1) // 2, (t + 1) // 2, t, d, ell,
-    )
+    solution = ClassificationSolution(a, b, c, z1, z, w, u_tilde, u1, v1, t, d, ell)
 
     checks: "dict[str, bool]" = {}
     res = maps.check_skew(cmap, phi)
@@ -503,7 +460,7 @@ def classify(
 ) -> ClassifyOutcome:
     """Solve, optionally fully verify, and certify distinctness.
 
-    ``verify_level`` is ``"fast"`` (residues, fixed point, congruence
+    ``verify_level`` is ``"fast"`` (residues, one build per class, congruence
     checks and the dart certificate, which proves the skew law on all
     pairs) or ``"full"`` (adds the orbit identities, the kernel generation
     and restriction checks, genus, the quotient profile and pairwise

@@ -287,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help='e.g. "Z8", "L(8,2,3)", "D(7,3,4)"')
     p.add_argument("--guided", action="store_true", help="pruned search on a D(a,b,c) group")
     p.add_argument("--exhaustive", action="store_true", help="run the slow oracle tier")
-    p.add_argument("--max-order", type=int, default=64)
+    p.add_argument(
+        "--max-order", type=int, default=None, help="order ceiling (default: the search's own)"
+    )
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
     p.set_defaults(func=cmd_bruteforce)
 

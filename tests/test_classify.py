@@ -1,5 +1,7 @@
 """Tests for the classification engine on D(a,b,c)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from rbcm.classify import (
     _even_products,
     _even_products_match,
     _generates_a2_b,
+    _residues_for,
     _restriction_is_automorphism,
+    _verify_conditions,
     check_necessary,
     classify,
     distinct,
@@ -17,8 +21,20 @@ from rbcm.classify import (
     realize,
     solve,
 )
-from rbcm.groups import GroupError
+from rbcm.groups import DeltaParams, GroupError
 from rbcm.twoadic import deg2
+
+
+def closed_form_cases(max_a=24, max_classes=64):
+    """``(a, b, c, z, w)`` for every existence triple ``D(a,b,c)`` with
+    ``a <= max_a`` and its first ``max_classes`` residues ``z``."""
+    for a in range(7, max_a + 1):
+        for b in range(1, a - 3):
+            for c in range(max(2, a - b, b + 1), a - 2):
+                w = (1 - (1 << (c - 2))) % (1 << b)
+                for z1 in range(min(max_classes, 1 << (a - c - 1))):
+                    z = (-1 + (1 << (c - 2)) + (1 << (c - 1)) * z1) % (1 << (a - 1))
+                    yield a, b, c, z, w
 
 
 class TestNecessary:
@@ -57,26 +73,56 @@ class TestSolve:
                 assert (s.z + s.w) % (1 << b) == 0
                 assert 0 < s.u_tilde < (1 << (a - c))
                 assert s.ell % 2 == 1
-                assert s.ell_prime == (s.ell - 1) // 2
-                assert s.t_prime == (s.t + 1) // 2
                 assert deg2(s.t + 1) >= max(b + 1, a - c + 2)
-                # s = z [z]_r reduced mod 2^(a-1)
-                from rbcm.twoadic import geom_sum_mod
-
-                r = 1 + (1 << c)
-                assert s.s == s.z * geom_sum_mod(r, s.z, mod_x) % mod_x
 
     def test_solution_count_desk_scale(self):
         assert len(solve(12, 4, 8)) == 8
 
     def test_conditions_reverified(self):
         # the verifier runs for every emitted solution; poke it directly too
-        from rbcm.classify import _verify_conditions
-
         s = solve(7, 3, 4)[0]
         _verify_conditions(7, 3, 4, s.z, s.w, s.ell, s.t, s.u_tilde, s.u1, s.v1)
         with pytest.raises(InternalInconsistency):
             _verify_conditions(7, 3, 4, s.z, s.w, s.ell, s.t, s.u_tilde, s.u1 + 1, s.v1)
+
+
+class TestClosedFormResidues:
+    # integers only: no group table and no map is built
+
+    def test_cases_cover_every_existence_triple(self):
+        expected = set()
+        for a in range(1, 25):
+            for b in range(1, a):
+                for c in range(1, a):
+                    try:
+                        if check_necessary(a, b, c).existence:
+                            expected.add((a, b, c))
+                    except GroupError:
+                        pass
+        assert {case[:3] for case in closed_form_cases()} == expected
+
+    def test_residues_pass_the_conditions_at_ell_one(self):
+        for a, b, c, z, w in closed_form_cases():
+            u_tilde, u1, v1 = _residues_for(a, b, c, z)
+            _verify_conditions(a, b, c, z, w, 1, (1 << (b + 2)) - 1, u_tilde, u1, v1)
+
+    def test_first_generator_inverts_the_last(self):
+        # omega_1 = a^(2 u1) b^(v1) omega_d with omega_d = a^u~ b, and
+        # omega_1 omega_d = 1 is iota(d) = 1, i.e. ell = 1
+        for a, b, c, z, _ in closed_form_cases():
+            G = DeltaParams(a, b, c).group()
+            u_tilde, u1, v1 = _residues_for(a, b, c, z)
+            omega_d = G.el(u_tilde, 1)
+            omega_1 = G.mul(G.el(2 * u1, v1), omega_d)
+            assert G.mul(omega_1, omega_d) == G.identity()
+
+    def test_read_back_offset_other_than_one_is_an_engine_bug(self, monkeypatch):
+        balance_data = maps.balance_data
+        monkeypatch.setattr(
+            maps, "balance_data", lambda cmap: dataclasses.replace(balance_data(cmap), ell=3)
+        )
+        with pytest.raises(InternalInconsistency, match="ell = 1"):
+            realize(7, 3, 4, 0)
 
 
 class TestRealize:

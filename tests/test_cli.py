@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, JSON contracts, determinism."""
 
+import hashlib
 import importlib
 import json
 
@@ -94,6 +95,26 @@ class TestClassifyCommand:
             assert doc == {"error": str(error)}
             assert str(error) in err
 
+    # sha256 of the stdout of ``rbcm --workers W classify --a A --b B --c C
+    # --verify-level full``, the same for W = 1 and 2.  Only a change meant to
+    # alter that output may regenerate them, with
+    #   PYTHONPATH=src python -m rbcm.cli --workers 1 classify \
+    #       --a 7 --b 3 --c 4 --verify-level full | sha256sum
+    FULL_STDOUT_SHA256 = {
+        (7, 3, 4): "0163467e71f0c55ceb180137acefe2f989e56d1bb86909ed44e73216ba0368b2",
+        (8, 3, 5): "013ca3ecaa570975bda329b11b3d529a4859af9980a723b1c122c55209c40601",
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("abc", sorted(FULL_STDOUT_SHA256), ids=lambda t: "D(%d,%d,%d)" % t)
+    def test_full_stdout_is_pinned(self, capsys, abc, workers):
+        a, b, c = map(str, abc)
+        code = main(["--workers", workers, "classify", "--a", a, "--b", b, "--c", c,
+                     "--verify-level", "full"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FULL_STDOUT_SHA256[abc]
+
     def test_deterministic_output(self, capsys):
         argv = ("classify", "--a", "7", "--b", "3", "--c", "4", "--verify-level", "fast")
         code1, doc1, _ = run_cli(capsys, *argv)
@@ -118,6 +139,19 @@ class TestBruteforceCommand:
             capsys, "bruteforce", "--group", "L(128,2,63)", "--max-order", "64"
         )
         assert code == 3
+
+    def test_guided_defaults_to_its_own_order_ceiling(self, capsys):
+        # D(5,3,2) has order 256, above the enumeration's ceiling of 64
+        code, doc, _ = run_cli(capsys, "bruteforce", "--group", "D(5,3,2)", "--guided")
+        assert code == 0
+        assert doc["exhausted"] is True and doc["count"] == 0
+
+    def test_guided_keeps_an_explicit_order_ceiling(self, capsys):
+        code, doc, _ = run_cli(
+            capsys, "bruteforce", "--group", "D(5,3,2)", "--guided", "--max-order", "128"
+        )
+        assert code == 3
+        assert doc["partial"]
 
     def test_bad_group(self, capsys):
         code, doc, _ = run_cli(capsys, "bruteforce", "--group", "Q8")
