@@ -7,7 +7,7 @@ against the first-principles definitions.
 
 from .groups import DeltaParams, GroupElement, Metacyclic, parse_group
 from .maps import CayleyMap, SkewMorphism, balance_data, check_skew, genus, is_regular
-from .classify import ClassificationSolution, check_necessary, classify, realize, solve
+from .classify import ClassificationSolution, check_necessary, classify, realize
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,5 @@ __all__ = [
     "is_regular",
     "parse_group",
     "realize",
-    "solve",
     "__version__",
 ]

@@ -97,11 +97,9 @@ class ValidationReport:
         return self.ok
 
 
-def validate(params: AutoParams, group: "Optional[Metacyclic]" = None) -> ValidationReport:
+def validate(params: AutoParams) -> ValidationReport:
     """Check the four parameter constraints; report every violated one."""
-    G = group if group is not None else params.group
-    if G != params.group:
-        raise AutomorphismError("parameters belong to a different group")
+    G = params.group
     at, bt, ct = tilde_exponents(G)
     x1, y1, x2, y2 = params.x1, params.y1, params.x2, params.y2
     violations = []

@@ -490,11 +490,8 @@ def guided_search_delta(
     stats["kernel_candidates"] = len(cands)
 
     N, m = G.order, G.m
-    idx = G.all_idx()
-    even_mask = (idx // m) % 2 == 0
-    even_idx = idx[even_mask]
-    coset = idx[~even_mask]
-    n_coset = coset.size
+    kernel = pres.include_vec(sub.all_idx())
+    coset = np.setdiff1d(G.all_idx(), kernel)
 
     # The coset orbit of a seed omega_d factors through the twisted powers
     # T_1 = c, T_(k+1) = phi+(T_k) * c of c = omega_1 omega_d^-1: the orbit is
@@ -507,8 +504,7 @@ def guided_search_delta(
     # beta-exponent consequence of t-balance: gamma_(ell+ti) + gamma_i +
     # 2 y(omega_d) = 0 (mod m) for all i, where gamma_k = y(T_k), for some
     # t^2 = 1 (mod d) with (t+1) ell = 0 (mod d).
-    sq_inv = G.inv_vec(G.mul_vec(coset, coset))
-    sq_inv_sub = (sq_inv // m) // 2 * sub.m + sq_inv % m
+    sq_inv_sub = pres.retract_vec(G.inv_vec(G.mul_vec(coset, coset)))
     coset_y = coset % m
     L = sub.order
     valid_ts: "dict[int, list[int]]" = {}
@@ -518,10 +514,7 @@ def guided_search_delta(
         sub_perm = autos.as_perm(phi_plus)
         ord_plus = perm_order(sub_perm)
         phi_on_even = np.full(N, -1, dtype=np.int64)
-        sx = (even_idx // m) // 2
-        sy = even_idx % m
-        simg = sub_perm[sx * sub.m + sy]
-        phi_on_even[even_idx] = (2 * (simg // sub.m)) % G.n * m + simg % sub.m
+        phi_on_even[kernel] = pres.include_vec(sub_perm)
 
         rows = sub.all_idx()
         c_vals = sub.all_idx()
@@ -557,7 +550,7 @@ def guided_search_delta(
             vals = np.flatnonzero(pos[c_row] > 0)
             seq = np.empty(d, dtype=np.int64)
             seq[pos[c_row, vals] - 1] = vals
-            seq_parent = 2 * (seq // sub.m) * m + seq % sub.m
+            seq_parent = pres.include_vec(seq)
             wd_cols = np.flatnonzero(pair_ok[c_row])
             # each map is seen once per orbit element; keep only the seed that
             # is minimal in its own orbit (omega_i = T_i * omega_d)
@@ -583,8 +576,7 @@ def guided_search_delta(
                 v = G.mul_vec(
                     np.int64(wd_inv), G.mul_vec(G.inv_vec(seq_parent), np.int64(wd_inv))
                 )
-                v_sub = (v // m) // 2 * sub.m + v % m
-                j = pos[c_row, v_sub].astype(np.int64)
+                j = pos[c_row, pres.retract_vec(v)].astype(np.int64)
                 if np.any(j == 0):
                     continue
                 t0 = int((j[1] - j[0]) % d) if d > 1 else 1
@@ -593,8 +585,7 @@ def guided_search_delta(
                 if np.any((j - j[0] - t0 * np.arange(d)) % d):
                     continue
                 stats["pairs_surviving"] += 1
-                c_parent = 2 * (int(c_row) // sub.m) * m + int(c_row) % sub.m
-                w1 = int(G.mul_vec(np.int64(c_parent), np.int64(wd)))
+                w1 = int(G.mul_vec(pres.include_vec(c_row), np.int64(wd)))
                 phi = phi_on_even.copy()
                 phi[coset] = G.mul_vec(
                     phi_on_even[G.mul_vec(coset, np.int64(wd_inv))], np.int64(w1)

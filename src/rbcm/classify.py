@@ -36,14 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import autos, maps
-from .groups import (
-    DeltaParams,
-    GroupError,
-    Metacyclic,
-    PowerSubgroup,
-    geom_table,
-    plus_presentation,
-)
+from .groups import DeltaParams, GroupError, Metacyclic, PowerSubgroup, plus_presentation
 from .maps import (
     AbelianRbcmProfile,
     BalanceData,
@@ -189,25 +182,23 @@ def _build_phi(
 ) -> "tuple[np.ndarray, int]":
     """The candidate skew-morphism as a permutation array, and the encoded ``omega_d``.
 
-    On ``<a^2, b>`` it is the automorphism ``a^2 -> a^(2z) b, b -> b^w``;
-    on the other coset it sends ``h * omega_d`` to ``phi(h) * omega_1`` with
-    ``omega_d = a^u~ b`` and ``omega_1 = a^(2 u1) b^(v1) * omega_d``.
+    On ``K = <a^2, b>`` it is ``theta = sigma(z,1;0,w)``: ``a^2 -> a^(2z) b``,
+    ``b -> b^w``, validated and evaluated by ``autos`` on the standalone
+    ``L(n/2, m; r)``.  On the other coset it sends ``h * omega_d`` to
+    ``theta(h) * omega_1`` with ``omega_d = a^u~ b`` and
+    ``omega_1 = a^(2 u1) b^(v1) * omega_d``.
     """
-    n, m = G.n, G.m
-    mod_x = n // 2
-    idx = G.all_idx()
-    x, y = idx // m, idx % m
-    even = x % 2 == 0
-    phi = np.empty(G.order, dtype=np.int64)
-    X = x[even] // 2
-    phi_x = 2 * (z * geom_table(G)[1, X] % mod_x)
-    phi_y = (X + w * y[even]) % m
-    phi[even] = phi_x * m + phi_y
-
+    pres = plus_presentation(G)
+    try:
+        theta = autos.as_perm(autos.normal_form_params(pres.group, z, w))
+    except autos.AutomorphismError as exc:
+        raise InternalInconsistency(f"theta is not an automorphism: {exc}") from exc
+    kernel = pres.include_vec(pres.group.all_idx())
     omega_d = G.code(u_tilde, 1)
-    omega_1 = G.mul_vec(np.int64(G.code(2 * u1, v1)), np.int64(omega_d))
-    h = G.mul_vec(idx[~even], G.inv_vec(np.int64(omega_d)))
-    phi[~even] = G.mul_vec(phi[h], omega_1)
+    omega_1 = G.mul_vec(pres.include_vec(np.int64(pres.group.code(u1, v1))), np.int64(omega_d))
+    phi = np.empty(G.order, dtype=np.int64)
+    phi[kernel] = pres.include_vec(theta)
+    phi[G.mul_vec(kernel, np.int64(omega_d))] = G.mul_vec(phi[kernel], omega_1)
     return phi, omega_d
 
 
@@ -275,7 +266,7 @@ def realize(
     checks["pi_on_generators_is_t"] = bool(np.all(skew.pi[cmap.omega_idx] == t))
     checks["pi_two_valued"] = set(skew.pi.tolist()) == {1, t}
     checks["plus_part_is_normal_form"] = _plus_part_matches(G, skew, z, w)
-    checks["deg2_t_plus_1"] = deg2(t + 1) >= max(b + 1, a - c + 2)
+    checks["deg2_t_plus_1"] = True  # both bounds are raised on in _verify_conditions
 
     orbit = None
     emb = None
@@ -284,7 +275,9 @@ def realize(
         maps.verify_inverse_conditions(cmap, orbit, bal, u_tilde)
         checks["inverse_conditions"] = True
         checks["kernel_generated_by_etas"] = _generates_a2_b(G, orbit.eta)
-        checks["kernel_is_even_products"] = _even_products_match(G, skew, _even_products(G, cmap))
+        checks["kernel_is_even_products"] = checks["kernel_is_a2_b"] and _even_products_match(
+            G, skew, _even_products(G, cmap)
+        )
         checks["phi_restriction_is_automorphism"] = _restriction_is_automorphism(G, skew)
         emb = maps.genus(cmap)
     return RealizedRbcm(solution, cmap, skew, bal, orbit, emb, checks)
@@ -328,13 +321,9 @@ def _even_products(G: Metacyclic, cmap: CayleyMap) -> np.ndarray:
 
 
 def _even_products_match(G: Metacyclic, skew: SkewMorphism, products: np.ndarray) -> bool:
-    """ker pi equals the subgroup generated by ``products``: they lie in
-    ker pi, ker pi is ``<a^2, b>``, and they generate ``<a^2, b>``."""
-    return (
-        bool(np.all(skew.pi[products] == 1))
-        and _kernel_is_a2_b(G, skew)
-        and _generates_a2_b(G, products)
-    )
+    """``products`` lie in ker pi and generate ``<a^2, b>``; where ker pi is
+    ``<a^2, b>`` (the ``kernel_is_a2_b`` check), they generate ker pi."""
+    return bool(np.all(skew.pi[products] == 1)) and _generates_a2_b(G, products)
 
 
 def _restriction_is_automorphism(G: Metacyclic, skew: SkewMorphism) -> bool:
@@ -353,12 +342,6 @@ def _restriction_is_automorphism(G: Metacyclic, skew: SkewMorphism) -> bool:
     lhs = phi[G.mul_vec_outer(kernel, gens)]
     rhs = G.mul_vec_outer(phi[kernel], phi[gens])
     return bool(np.array_equal(lhs, rhs))
-
-
-def solve(a: int, b: int, c: int) -> "list[ClassificationSolution]":
-    """All isomorphism classes on ``D(a,b,c)``, in increasing ``z1`` order:
-    the solutions of ``classify`` at the ``"fast"`` level."""
-    return classify(a, b, c, verify_level="fast").solutions
 
 
 # -- pairwise distinctness -------------------------------------------------------
@@ -409,14 +392,13 @@ def distinct(realized: "list[RealizedRbcm]") -> DistinctnessCertificate:
 
 
 def quotient_cross_check(realized: RealizedRbcm) -> AbelianRbcmProfile:
-    """Quotient by ``<a^(2^c)>`` and verify the rank-2 abelian profile."""
-    sol = realized.solution
-    xi = PowerSubgroup(realized.cmap.group, sol.c)
-    qres = maps.quotient_map(realized.cmap, realized.skew, xi)
-    profile = maps.abelian_profile_check(qres)
-    if (sol.t + 1) % profile.valency:
-        raise VerificationError("quotient valency does not divide t + 1")
-    return profile
+    """Quotient by ``<a^(2^c)>`` and verify the rank-2 abelian profile.
+
+    The profile checks that the valency divides the quotient's ``t + 1``,
+    and ``quotient_map`` that the quotient's ``t`` is ``t`` modulo the valency.
+    """
+    xi = PowerSubgroup(realized.cmap.group, realized.solution.c)
+    return maps.abelian_profile_check(maps.quotient_map(realized.cmap, realized.skew, xi))
 
 
 # -- top-level pipeline ------------------------------------------------------------

@@ -235,20 +235,18 @@ class BalanceData:
 
 
 def balance_data(cmap: CayleyMap) -> "Optional[BalanceData]":
+    """The map's balance data, or None if it is not t-balanced.
+
+    Balance is ``iota(i + t) = iota(i) + 1`` for all ``i``.  As ``iota`` is
+    an involution, ``i = 0`` gives ``t = iota(iota(0) + 1)``: the only
+    candidate, checked on the whole cycle.
+    """
     d = cmap.d
     iota0 = cmap.iota0
     arange = np.arange(d)
-    shifted = (iota0 + 1) % d
-    valid = [
-        t
-        for t in range(1, d + 1)
-        if (t * t) % d == 1 % d and np.array_equal(shifted, iota0[(arange + t) % d])
-    ]
-    if not valid:
+    t = int(iota0[(iota0[0] + 1) % d]) or d
+    if (t * t) % d != 1 % d or not np.array_equal((iota0 + 1) % d, iota0[(arange + t) % d]):
         return None
-    if len(valid) > 1:
-        raise VerificationError(f"multiple balance exponents {valid}: contradicts uniqueness")
-    t = valid[0]
     ell = int(iota0[d - 1]) + 1
     if (t + 1) * ell % d:
         raise VerificationError("involution law (t+1) ell = 0 (mod d) fails")
@@ -280,13 +278,13 @@ def normalize_indexing(cmap: CayleyMap, bal: BalanceData) -> "tuple[CayleyMap, B
 # -- regularity by arc propagation ---------------------------------------------
 
 
-def _propagate(cmap: CayleyMap, img0: int, shift0: int) -> "Optional[np.ndarray]":
+def _propagate(cmap: CayleyMap, img0: int, shift0: int) -> "Optional[tuple[np.ndarray, np.ndarray]]":
     """Extend the arc assignment ``(1, omega_1) -> (img0, omega_(1+shift0))``.
 
     Propagates the unique candidate map automorphism breadth-first: a vertex
     carries its image and a label shift, and following an arc transports both
     (the reversed arc pins the shift at the far end).  Returns the vertex
-    image array, or None at the first inconsistency.
+    images and label shifts, or None at the first inconsistency.
 
     Only images are compared where an arc reaches a known vertex.  Every
     vertex is expanded, so the image law is checked on every dart and its
@@ -321,7 +319,7 @@ def _propagate(cmap: CayleyMap, img0: int, shift0: int) -> "Optional[np.ndarray]
         return None  # unreachable for a generating set
     if np.bincount(img, minlength=N).max() != 1:
         return None
-    return img
+    return img, sh
 
 
 def is_regular(cmap: CayleyMap) -> "Optional[SkewMorphism]":
@@ -331,12 +329,14 @@ def is_regular(cmap: CayleyMap) -> "Optional[SkewMorphism]":
     automorphism sending the arc ``(1, omega_1)`` to ``(1, omega_2)``, so its
     vertex images fix the identity, restrict to ``rho`` and satisfy
     ``phi(eta omega_i) = phi(eta) omega_(i+pi(eta))`` on every dart, which
-    is the dart certificate of ``check_skew``.
+    is the dart certificate of ``check_skew``.  So the label shift of each
+    vertex is its ``pi`` modulo ``d``.
     """
-    img = _propagate(cmap, cmap.group.encode(cmap.group.identity()), 1)
-    if img is None:
+    prop = _propagate(cmap, cmap.group.encode(cmap.group.identity()), 1)
+    if prop is None:
         return None
-    return SkewMorphism(cmap, img, power_function_probe(cmap, img))
+    img, sh = prop
+    return SkewMorphism(cmap, img, np.where(sh == 0, cmap.d, sh))
 
 
 def map_automorphism_count(cmap: CayleyMap) -> int:
@@ -496,19 +496,26 @@ def quotient_map(cmap: CayleyMap, skew: SkewMorphism, xi: PowerSubgroup) -> Quot
 
 @dataclass
 class GeneratorOrbit:
-    """The sequences ``eta_j = omega_j omega_(j-1)^-1`` and their partial data.
+    """The sequences ``eta_j = omega_j omega_(j-1)^-1`` and their prefix products.
 
     On a map with kernel ``<a^2, b>`` each ``eta_j = a^(2 u_j) b^(v_j)`` and
-    the products ``eta_i ... eta_1 = a^(2 f_i) b^(g_i)`` recover
-    ``omega_i = (eta_i ... eta_1) omega_d``.  ``eta`` is encoded.  All
-    stored sequences are one-based: entry ``j-1`` is the value at index ``j``.
+    the products ``prod_i = eta_i ... eta_1 = a^(2 f_i) b^(g_i)`` recover
+    ``omega_i = prod_i omega_d``.  Both arrays are encoded and one-based:
+    entry ``j-1`` is the value at index ``j``.
     """
 
     eta: np.ndarray
-    u: "tuple[int, ...]"
-    v: "tuple[int, ...]"
-    f: "tuple[int, ...]"
-    g: "tuple[int, ...]"
+    prod: np.ndarray
+
+
+def _first_failure(*checks: "tuple[np.ndarray, str]") -> None:
+    """Raise at the least index where a check's boolean array is true, with the
+    message (``{}`` for the one-based index) of the first check true there."""
+    failing = np.logical_or.reduce([bad for bad, _ in checks])
+    if np.any(failing):
+        i = int(np.argmax(failing))
+        what = next(what for bad, what in checks if bad[i])
+        raise VerificationError(what.format(i + 1))
 
 
 def generator_orbit(cmap: CayleyMap, skew: SkewMorphism, bal: BalanceData) -> GeneratorOrbit:
@@ -528,28 +535,25 @@ def generator_orbit(cmap: CayleyMap, skew: SkewMorphism, bal: BalanceData) -> Ge
         if np.any(test):
             raise VerificationError(f"{what} at j={int(np.flatnonzero(test)[0]) + 1}")
 
-    u = tuple((eta // m // 2).tolist())
-    v = tuple((eta % m).tolist())
     w_d_inv = G.inv_vec(w[-1])
     prod = G.mul_vec(w, w_d_inv)  # omega_j omega_d^-1, to be eta_j ... eta_1
     before = np.concatenate(([0], prod[:-1]))  # the identity (code 0) before eta_1
     if np.any(G.mul_vec(eta, before) != prod):
         raise VerificationError("prefix products of the eta_j are not omega_j omega_d^-1")
-    f = tuple((prod // m // 2).tolist())
-    g = tuple((prod % m).tolist())
     # omega_d^-2 = eta_ell ... eta_1
     if G.mul_vec(w_d_inv, w_d_inv) != prod[bal.ell - 1]:
         raise VerificationError("omega_d^-2 != eta_ell ... eta_1")
-    # closed forms for g_i and f_i
-    for i in range(1, d + 1):
-        if g[i - 1] != sum(v[:i]) % m:
-            raise VerificationError(f"g_{i} disagrees with the v-sum")
-        acc = 0
-        for j in range(1, i + 1):
-            acc += pow(G.r, (g[i - 1] - g[j - 1]) % m, n_half) * u[j - 1]
-        if (acc - f[i - 1]) % n_half:
-            raise VerificationError(f"f_{i} disagrees with the twisted u-sum")
-    return GeneratorOrbit(eta, u, v, f, g)
+    # closed forms: g_i = v_1 + ... + v_i, and the twisted sum
+    # f_i = r^(g_i) (r^(-g_1) u_1 + ... + r^(-g_i) u_i)  (mod n/2)
+    u, v = eta // m // 2, eta % m
+    f, g = prod // m // 2, prod % m
+    rpow = G._rpow_table
+    twisted = rpow[g] * (np.cumsum(rpow[-g % m] * u % n_half) % n_half)
+    _first_failure(
+        ((np.cumsum(v) - g) % m != 0, "g_{} disagrees with the v-sum"),
+        ((twisted - f) % n_half != 0, "f_{} disagrees with the twisted u-sum"),
+    )
+    return GeneratorOrbit(eta, prod)
 
 
 def verify_inverse_conditions(
@@ -568,21 +572,16 @@ def verify_inverse_conditions(
     w_d = int(cmap.omega_idx[-1])
     if w_d != G.code(u_tilde, 1):
         raise VerificationError(f"base generator {G.decode(w_d)} is not a^{u_tilde} b")
-    r_inv = pow(G.r, -1, n)
-    for i in range(1, d + 1):
-        idx = ((bal.ell + bal.t * i - 1) % d) + 1
-        if (orbit.g[idx - 1] + orbit.g[i - 1] + 2) % m:
-            raise VerificationError(f"offset-sum condition fails at i={i}")
-        half = (pow(G.r, orbit.g[idx - 1], n) + r_inv) % n
-        if half % 2:
-            raise VerificationError("odd numerator in the halved coefficient")
-        term = (
-            orbit.f[idx - 1]
-            + pow(r_inv, (orbit.g[i - 1] + 1) % m if m > 1 else 0, n_half) * orbit.f[i - 1]
-            + (half // 2) * u_tilde
-        )
-        if term % n_half:
-            raise VerificationError(f"twisted-sum condition fails at i={i}")
+    f, g = orbit.prod // m // 2, orbit.prod % m
+    at = (bal.ell + bal.t * np.arange(1, d + 1) - 1) % d  # ell + t i, zero-based
+    rpow = G._rpow_table
+    half = (rpow[g[at]] + pow(G.r, -1, n)) % n
+    term = f[at] + rpow[-(g + 1) % m] % n_half * f + half // 2 * u_tilde
+    _first_failure(
+        ((g[at] + g + 2) % m != 0, "offset-sum condition fails at i={}"),
+        (half % 2 == 1, "odd numerator in the halved coefficient"),
+        (term % n_half != 0, "twisted-sum condition fails at i={}"),
+    )
 
 
 # -- abelian quotient profile ----------------------------------------------------
@@ -616,7 +615,7 @@ def abelian_profile_check(qres: QuotientMapResult) -> AbelianRbcmProfile:
     kernel = np.flatnonzero(qres.skew.kernel_mask())
     if kernel.size * 2 != Q.order:
         raise VerificationError("power-function kernel does not have index 2")
-    orders = np.array([Q.element_order(Q.decode(int(i))) for i in kernel])
+    orders = _abelian_orders(Q, kernel)
     if int(np.count_nonzero(orders <= 2)) != 4:
         raise VerificationError("kernel does not have rank 2")
     k_prime = int(orders.max()).bit_length() - 1
@@ -628,7 +627,7 @@ def abelian_profile_check(qres: QuotientMapResult) -> AbelianRbcmProfile:
     theta1, theta2 = (int(v) for v in Q.mul_vec(w[[0, 1 % w.size]], Q.inv_vec(w[[-1, 0]])))
     s12 = int(Q.mul_vec(theta1, theta2))
     d12 = Q.mul_vec(theta1, Q.inv_vec(theta2))
-    o1, o_sum, o_diff = (Q.element_order(Q.decode(v)) for v in (theta1, s12, d12))
+    o1, o_sum, o_diff = _abelian_orders(Q, np.array([theta1, s12, d12])).tolist()
     if o1 != 1 << k_prime:
         raise VerificationError("theta_1 does not have full kernel order")
     if o_sum != 1 << k:
@@ -651,6 +650,12 @@ def abelian_profile_check(qres: QuotientMapResult) -> AbelianRbcmProfile:
     return AbelianRbcmProfile(
         k_prime, k, theta1, theta2, qres.cmap.d, qres.balance.t, qres.balance.map_type
     )
+
+
+def _abelian_orders(Q: Metacyclic, codes: np.ndarray) -> np.ndarray:
+    """Orders ``lcm(n / gcd(x, n), m / gcd(y, m))`` in the abelian ``Q = Z_n x Z_m``."""
+    x, y = np.divmod(codes, Q.m)
+    return np.lcm(Q.n // np.gcd(x, Q.n), Q.m // np.gcd(y, Q.m))
 
 
 # -- genus ---------------------------------------------------------------------

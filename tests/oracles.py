@@ -12,7 +12,14 @@ production certificates rely on, so the tests can compare the two:
 * ``enumerate_params`` walks the parameter constraints in nested loops and
   validates every tuple, against the arrays of ``autos.aut_group``;
 * ``commutator_subgroup_idx`` closes the set of all commutators, against
-  the closed-form ``groups.abelianization_invariants``.
+  the closed-form ``groups.abelianization_invariants``;
+* ``balance_by_search`` tries every balance exponent ``t`` in ``1..d`` and
+  types the map by its involutions, against ``maps.balance_data``, which
+  reads ``t`` off ``iota`` at one position;
+* ``closed_form_failure`` and ``inverse_condition_failure`` evaluate the
+  orbit identities index by index in Python integers, the twisted sums as
+  an ``O(d^2)`` double loop, against the prefix sums of
+  ``maps.generator_orbit`` and ``maps.verify_inverse_conditions``.
 
 The sweep is quadratic in ``|G|`` and the tracing loops in Python over
 every dart; keep them to orders up to ``2^11``.
@@ -24,7 +31,7 @@ import numpy as np
 
 from rbcm.autos import AutoParams, tilde_exponents, validate
 from rbcm.groups import Metacyclic
-from rbcm.maps import CayleyMap
+from rbcm.maps import BalanceData, CayleyMap
 from rbcm.twoadic import deg2
 
 
@@ -139,3 +146,63 @@ def commutator_subgroup_idx(group: Metacyclic) -> np.ndarray:
         for g2 in group.elements():
             gens.add(group.encode(group.commutator(g1, g2)))
     return group.closure_idx(sorted(gens))
+
+
+def balance_by_search(cmap: CayleyMap) -> "Optional[BalanceData]":
+    """The map's ``BalanceData`` from every ``t`` in ``1..d`` with ``t^2 = 1 (mod d)``
+    and ``iota(i + t) = iota(i) + 1`` for all ``i``; None if no ``t`` passes.
+
+    At most one ``t`` can pass, as ``iota`` is an involution.  The map is of
+    type II exactly when some generator is an involution.
+    """
+    d, iota0 = cmap.d, cmap.iota0
+    arange = np.arange(d)
+    valid = [
+        t
+        for t in range(1, d + 1)
+        if (t * t) % d == 1 % d and np.array_equal((iota0 + 1) % d, iota0[(arange + t) % d])
+    ]
+    if not valid:
+        return None
+    (t,) = valid
+    map_type = "II" if np.any(iota0 == arange) else "I"
+    return BalanceData(t, int(iota0[d - 1]) + 1, map_type, d)
+
+
+def closed_form_failure(G: Metacyclic, eta: np.ndarray, prod: np.ndarray) -> "Optional[str]":
+    """The first of ``g_i = v_1 + ... + v_i`` and
+    ``f_i = sum_(j <= i) r^(g_i - g_j) u_j (mod n/2)`` to fail, as
+    ``maps.generator_orbit`` words it, for ``eta_j = a^(2 u_j) b^(v_j)`` and
+    ``prod_i = a^(2 f_i) b^(g_i)``; None if all hold."""
+    m, n_half = G.m, G.n // 2
+    u, v = [e // m // 2 for e in eta.tolist()], [e % m for e in eta.tolist()]
+    f, g = [p // m // 2 for p in prod.tolist()], [p % m for p in prod.tolist()]
+    for i in range(1, len(u) + 1):
+        if g[i - 1] != sum(v[:i]) % m:
+            return f"g_{i} disagrees with the v-sum"
+        acc = sum(pow(G.r, (g[i - 1] - g[j - 1]) % m, n_half) * u[j - 1] for j in range(1, i + 1))
+        if (acc - f[i - 1]) % n_half:
+            return f"f_{i} disagrees with the twisted u-sum"
+    return None
+
+
+def inverse_condition_failure(
+    G: Metacyclic, prod: np.ndarray, bal: BalanceData, u_tilde: int
+) -> "Optional[str]":
+    """The first coordinate condition of ``omega_(ell+ti) = omega_i^-1`` to
+    fail, as ``maps.verify_inverse_conditions`` words it; None if all hold.
+    The base generator must already be ``a^u_tilde b``."""
+    n, n_half, m, d = G.n, G.n // 2, G.m, prod.size
+    f, g = [p // m // 2 for p in prod.tolist()], [p % m for p in prod.tolist()]
+    r_inv = pow(G.r, -1, n)
+    for i in range(1, d + 1):
+        k = (bal.ell + bal.t * i - 1) % d  # ell + t i, zero-based
+        if (g[k] + g[i - 1] + 2) % m:
+            return f"offset-sum condition fails at i={i}"
+        half = (pow(G.r, g[k], n) + r_inv) % n
+        if half % 2:
+            return "odd numerator in the halved coefficient"
+        twist = pow(r_inv, (g[i - 1] + 1) % m, n_half)
+        if (f[k] + twist * f[i - 1] + half // 2 * u_tilde) % n_half:
+            return f"twisted-sum condition fails at i={i}"
+    return None

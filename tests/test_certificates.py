@@ -164,8 +164,9 @@ def test_dart_certificate_covers_every_row_block():
 @given(data=st.data())
 def test_propagation_certificate_matches_dart_certificate(data):
     """``is_regular`` takes the propagated map automorphism as its own
-    certificate; the dart certificate of that candidate must agree, and so
-    must the arc-image count on orders up to 32."""
+    certificate, and its label shifts as ``pi``; the dart certificate of that
+    candidate, whose ``pi`` comes from the ``omega_1`` probe, must agree, and
+    so must the arc-image count on orders up to 32."""
     source = data.draw(st.sampled_from(SKEW_GROUPS + ("D(7,3,4)",)))
     if source == "D(7,3,4)":
         cmap = data.draw(st.sampled_from([cm for cm, _ in realized_maps(7, 3, 4)]))
@@ -187,8 +188,8 @@ def test_propagation_certificate_matches_dart_certificate(data):
             assume(False)
     G = cmap.group
     skew = is_regular(cmap)
-    img = maps._propagate(cmap, G.encode(G.identity()), 1)
-    dart = check_skew(cmap, img) if img is not None else None
+    prop = maps._propagate(cmap, G.encode(G.identity()), 1)
+    dart = check_skew(cmap, prop[0]) if prop is not None else None
     event("regular" if skew is not None else "not regular")
     assert (skew is not None) == isinstance(dart, SkewMorphism)
     if skew is not None:

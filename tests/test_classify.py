@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rbcm import maps
+from rbcm import autos, maps
 from rbcm.classify import (
     InternalInconsistency,
     _even_products,
@@ -19,7 +19,6 @@ from rbcm.classify import (
     distinct,
     quotient_cross_check,
     realize,
-    solve,
 )
 from rbcm.groups import DeltaParams, GroupError
 from rbcm.twoadic import deg2
@@ -48,7 +47,7 @@ class TestNecessary:
         rep = check_necessary(7, 4, 3)
         assert not rep.existence
         assert "c > b" in rep.reason
-        assert solve(7, 4, 3) == []
+        assert classify(7, 4, 3, verify_level="fast").solutions == []
 
     def test_invalid_descriptor(self):
         with pytest.raises(GroupError, match="b != c"):
@@ -57,7 +56,7 @@ class TestNecessary:
 
 class TestSolve:
     def test_734_values(self):
-        sols = solve(7, 3, 4)
+        sols = classify(7, 3, 4, verify_level="fast").solutions
         assert len(sols) == 4
         assert [s.z for s in sols] == [3, 11, 19, 27]
         assert all(s.w == 5 for s in sols)
@@ -65,7 +64,7 @@ class TestSolve:
 
     def test_solution_invariants(self):
         for a, b, c in [(7, 3, 4), (8, 3, 5), (9, 4, 5)]:
-            for s in solve(a, b, c):
+            for s in classify(a, b, c, verify_level="fast").solutions:
                 mod_x = 1 << (a - 1)
                 assert s.z == (-1 + (1 << (c - 2)) + (1 << (c - 1)) * s.z1) % mod_x
                 assert s.w == (1 - (1 << (c - 2))) % (1 << b)
@@ -76,11 +75,11 @@ class TestSolve:
                 assert deg2(s.t + 1) >= max(b + 1, a - c + 2)
 
     def test_solution_count_desk_scale(self):
-        assert len(solve(12, 4, 8)) == 8
+        assert len(classify(12, 4, 8, verify_level="fast").solutions) == 8
 
     def test_conditions_reverified(self):
         # the verifier runs for every emitted solution; poke it directly too
-        s = solve(7, 3, 4)[0]
+        s = classify(7, 3, 4, verify_level="fast").solutions[0]
         _verify_conditions(7, 3, 4, s.z, s.w, s.ell, s.t, s.u_tilde, s.u1, s.v1)
         with pytest.raises(InternalInconsistency):
             _verify_conditions(7, 3, 4, s.z, s.w, s.ell, s.t, s.u_tilde, s.u1 + 1, s.v1)
@@ -162,6 +161,14 @@ class TestRealize:
         products[3] = G.mul_vec(products[3], np.int64(G.encode(G.alpha())))
         assert r.skew.pi[products[3]] != 1
         assert not _even_products_match(G, r.skew, products)
+
+    def test_invalid_theta_is_an_engine_bug(self, monkeypatch):
+        # x1 = 2z makes the determinant of sigma(2z,1;0,w) even
+        monkeypatch.setattr(
+            autos, "normal_form_params", lambda sub, z, w: autos.AutoParams(2 * z, 1, 0, w, sub)
+        )
+        with pytest.raises(InternalInconsistency, match="theta is not an automorphism.*even"):
+            realize(7, 3, 4, 0)
 
     def test_phi_construction(self):
         r = realize(7, 3, 4, 0)

@@ -123,6 +123,36 @@ class TestClassifyCommand:
         assert canonical_json(doc1) == canonical_json(doc2)
 
 
+# sha256 of the stdout of ``rbcm ARGV`` and its exit code, for commands whose
+# output must stay byte for byte the same; ``DOC`` stands for the document of
+# ``realize(7, 3, 4, 0)`` that ``delta_map_file`` writes.  Only a change meant
+# to alter an output may regenerate its digest, with
+#   PYTHONPATH=src python -m rbcm.cli ARGV | sha256sum
+PINNED_STDOUT_SHA256 = {
+    ("bruteforce", "--group", "Z8", "--exhaustive"):
+        "e963e2c977add3d80c22b2348ab02425bfade893112bdd138292cb2ce78464c7",
+    ("bruteforce", "--group", "Z2xZ4", "--exhaustive"):
+        "0e854f967546e9607fe0a272acdc9b936b2dfb90385a94453b9e4c98954e7f75",
+    ("bruteforce", "--group", "L(8,2,3)", "--exhaustive"):
+        "5605b2bb7370ee55c628d05a6e022d0cedbd54b2daaaf54f716adcbc66a50e3c",
+    ("--workers", "1", "classify", "--a", "8", "--b", "3", "--c", "5", "--verify-level", "fast"):
+        "7b1f68007bf43fde73458af0190f66d933f47c50ae9c69ee17b21b113c9beb1d",
+    ("verify", "DOC", "--quotient", "a^16"):
+        "70b8824129f407e241587a2db1265319010e2debdff3c7d0703ea11a36429280",
+    ("quotient", "DOC", "--xi", "a^16"):
+        "29505393bdb5a10dea65c16ca60831a1ab84fa53e6197ea3c67e7237d2955cca",
+    ("genus", "DOC"): "498310919a0766e204fb5976edc1740821fc4444f1eb3b28d3392cd0c280beb4",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT_SHA256), ids=" ".join)
+def test_stdout_is_pinned(capsys, delta_map_file, argv):
+    code = main([str(delta_map_file) if arg == "DOC" else arg for arg in argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[argv]
+
+
 class TestBruteforceCommand:
     def test_z8(self, capsys):
         code, doc, _ = run_cli(capsys, "bruteforce", "--group", "Z8")

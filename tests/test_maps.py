@@ -2,15 +2,18 @@
 
 import json
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+import oracles
 from test_certificates import ANY_MAP_GROUPS, realized_maps
 from rbcm import autos, brute, maps
 from rbcm.groups import DeltaParams, Metacyclic, PowerSubgroup, parse_group
 from rbcm.maps import (
+    BalanceData,
     CayleyMap,
     MapError,
     SkewFailure,
@@ -21,6 +24,7 @@ from rbcm.maps import (
     balance_data,
     canonical_json,
     check_skew,
+    generator_orbit,
     genus,
     is_regular,
     map_automorphism_count,
@@ -30,6 +34,7 @@ from rbcm.maps import (
     orbit_walk,
     perm_cycles,
     quotient_map,
+    verify_inverse_conditions,
 )
 
 Z5 = Metacyclic(5, 1, 1)
@@ -159,6 +164,158 @@ class TestBalance:
         doubled = ref + ref
         got = cm2.omega_idx.tolist()
         assert any(doubled[s : s + 4] == got for s in range(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_balance_data_matches_the_search_over_t(data):
+    """``balance_data`` reads ``t`` off one position of ``iota``; the oracle
+    tries every ``t`` and types the map by its involutions."""
+    name = data.draw(st.sampled_from(ANY_MAP_GROUPS + ("D(7,3,4)",)))
+    if name == "D(7,3,4)":
+        cm = data.draw(st.sampled_from([cm for cm, _ in realized_maps(7, 3, 4)]))
+        cm = cm.rotate(data.draw(st.integers(0, cm.d - 1)))
+    else:
+        G = parse_group(name)
+        picks = data.draw(st.lists(st.integers(1, G.order - 1), min_size=1, max_size=4, unique=True))
+        gens = sorted(set(picks) | set(G.inv_vec(np.array(picks)).tolist()))
+        try:
+            cm = CayleyMap(G, data.draw(st.permutations(gens)))
+        except MapError:
+            assume(False)
+    bal = balance_data(cm)
+    event("balanced" if bal is not None else "not balanced")
+    assert bal == oracles.balance_by_search(cm)
+
+
+def test_balance_search_sees_both_verdicts():
+    balanced = cyclic_map(Z5, [1, 2, 4, 3])
+    unbalanced = cyclic_map(Metacyclic(7, 1, 1), [1, 2, 6, 3, 5, 4])
+    assert balance_data(balanced) == oracles.balance_by_search(balanced) is not None
+    assert balance_data(unbalanced) is oracles.balance_by_search(unbalanced) is None
+
+
+@lru_cache(maxsize=None)
+def realized_classes(a: int, b: int, c: int) -> tuple:
+    from rbcm.classify import realize
+
+    return tuple(realize(a, b, c, z1) for z1 in range(1 << (a - c - 1)))
+
+
+class TestOrbitIdentities:
+    """Each check of ``generator_orbit`` and ``verify_inverse_conditions``
+    that an input can reach, with its message and its first failing index.
+
+    Four checks of ``generator_orbit`` follow from the group law once the
+    inverse bookkeeping passes: the prefix products, ``omega_d^-2``, and
+    the ``g``-sums, as ``y``-exponents add.  The halved coefficient
+    ``r^g + r^-1`` is even modulo an even ``n``.  No input reaches those."""
+
+    @pytest.fixture(scope="class")
+    def realized(self):
+        return realized_classes(7, 3, 4)[0]
+
+    def test_realized_map_passes(self, realized):
+        orbit = generator_orbit(realized.cmap, realized.skew, realized.balance)
+        verify_inverse_conditions(realized.cmap, orbit, realized.balance, realized.solution.u_tilde)
+
+    def test_tampered_cycle(self, realized):
+        order = list(range(realized.cmap.d))
+        order[5], order[9] = 9, 5
+        cm = CayleyMap(realized.cmap.group, realized.cmap.omega_idx[order])
+        with pytest.raises(VerificationError, match=r"^inverse bookkeeping fails at j=7$"):
+            generator_orbit(cm, realized.skew, realized.balance)
+
+    @pytest.mark.parametrize("t, ell, j", [(31, 3, 1), (15, 1, 2)])
+    def test_wrong_balance_data(self, realized, t, ell, j):
+        bal = BalanceData(t, ell, "I", realized.cmap.d)
+        with pytest.raises(VerificationError, match=rf"^inverse bookkeeping fails at j={j}$"):
+            generator_orbit(realized.cmap, realized.skew, bal)
+
+    def test_eta_outside_the_kernel(self, realized):
+        eta = generator_orbit(realized.cmap, realized.skew, realized.balance).eta
+        pi = realized.skew.pi.copy()
+        pi[eta[6]] = realized.balance.t
+        skew = SkewMorphism(realized.cmap, realized.skew.phi, pi)
+        with pytest.raises(VerificationError, match=r"power-function kernel at j=7$"):
+            generator_orbit(realized.cmap, skew, realized.balance)
+
+    def test_eta_with_odd_a_exponent(self):
+        # CM(Z5, (a^4, a^3, a, a^2)): eta_1 = a^2, eta_2 = a^4, eta_3 = a^3
+        cm = cyclic_map(Z5, [4, 3, 1, 2])
+        with pytest.raises(VerificationError, match=r"odd a-exponent; kernel is not <a\^2, b> at j=3$"):
+            generator_orbit(cm, is_regular(cm), balance_data(cm))
+
+    def test_phi_does_not_advance_eta(self, realized):
+        eta = generator_orbit(realized.cmap, realized.skew, realized.balance).eta
+        phi = realized.skew.phi.copy()
+        phi[eta[4]] = phi[eta[5]]
+        skew = SkewMorphism(realized.cmap, phi, realized.skew.pi)
+        with pytest.raises(VerificationError, match=r"^phi\(eta_j\) != eta_\(j\+1\) at j=5$"):
+            generator_orbit(realized.cmap, skew, realized.balance)
+
+    @pytest.mark.parametrize("cycle, i", [((1, 5, 4, 8, 7, 2), 2), ((1, 5, 7, 2, 4, 8), 4)])
+    def test_twisted_sum_on_wrapping_prefix_products(self, cycle, i):
+        # on Z9 the eta_j have even codes, but their prefix sums wrap modulo
+        # the odd n, so f_i = x(prod_i) / 2 is not the u-sum modulo n // 2
+        G = Metacyclic(9, 1, 1)
+        cm = cyclic_map(G, cycle)
+        eta = G.mul_vec(cm.omega_idx, G.inv_vec(np.roll(cm.omega_idx, 1)))
+        phi = G.all_idx().copy()
+        phi[eta] = np.roll(eta, -1)
+        skew = SkewMorphism(cm, phi, np.ones(G.order, dtype=np.int64))
+        message = f"f_{i} disagrees with the twisted u-sum"
+        with pytest.raises(VerificationError, match=f"^{message}$"):
+            generator_orbit(cm, skew, balance_data(cm))
+        prod = G.mul_vec(cm.omega_idx, G.inv_vec(cm.omega_idx[-1]))
+        assert oracles.closed_form_failure(G, eta, prod) == message
+
+    def test_wrong_u_tilde(self, realized):
+        orbit = generator_orbit(realized.cmap, realized.skew, realized.balance)
+        with pytest.raises(VerificationError, match=r"^base generator a\^5 b\^1 is not a\^7 b$"):
+            verify_inverse_conditions(realized.cmap, orbit, realized.balance, 7)
+
+    @pytest.mark.parametrize(
+        "t, ell, message",
+        [
+            (31, 3, "offset-sum condition fails at i=1"),
+            (1, 31, "offset-sum condition fails at i=2"),
+            (31, 14, "twisted-sum condition fails at i=1"),
+            (2, 30, "twisted-sum condition fails at i=2"),
+        ],
+    )
+    def test_inverse_conditions_with_wrong_balance_data(self, realized, t, ell, message):
+        orbit = generator_orbit(realized.cmap, realized.skew, realized.balance)
+        bal = BalanceData(t, ell, "I", realized.cmap.d)
+        with pytest.raises(VerificationError, match=f"^{message}$".replace("(", r"\(")):
+            verify_inverse_conditions(realized.cmap, orbit, bal, realized.solution.u_tilde)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_orbit_identities_match_the_index_loops(data):
+    """The prefix sums of ``generator_orbit`` and ``verify_inverse_conditions``
+    against the per-index loops, on realized maps with their own or with
+    tampered balance data and base exponent."""
+    r = data.draw(st.sampled_from(realized_classes(7, 3, 4) + realized_classes(8, 3, 5)))
+    G, d = r.cmap.group, r.cmap.d
+    assert oracles.closed_form_failure(G, r.orbit.eta, r.orbit.prod) is None
+    bal, u_tilde = r.balance, r.solution.u_tilde
+    if data.draw(st.booleans()):
+        bal = BalanceData(data.draw(st.integers(1, d)), data.draw(st.integers(0, d)), "I", d)
+    if data.draw(st.integers(0, 9)) == 0:
+        u_tilde = data.draw(st.integers(0, G.n - 1))
+    if G.code(u_tilde, 1) != r.cmap.omega_idx[-1]:
+        expected = f"base generator {G.decode(int(r.cmap.omega_idx[-1]))} is not a^{u_tilde} b"
+    else:
+        expected = oracles.inverse_condition_failure(G, r.orbit.prod, bal, u_tilde)
+    event("holds" if expected is None else expected.split()[0])
+    try:
+        verify_inverse_conditions(r.cmap, r.orbit, bal, u_tilde)
+        got = None
+    except VerificationError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 class TestRegularity:
