@@ -16,6 +16,9 @@ production certificates rely on, so the tests can compare the two:
 * ``balance_by_search`` tries every balance exponent ``t`` in ``1..d`` and
   types the map by its involutions, against ``maps.balance_data``, which
   reads ``t`` off ``iota`` at one position;
+* ``reduction_conditions`` evaluates the coset rule, (R2) and (R3) of the
+  reduction to ``<a^2, b>`` element by element, against the implications
+  that ``maps.check_skew_by_reduction`` relies on instead of checking them;
 * ``closed_form_failure`` and ``inverse_condition_failure`` evaluate the
   orbit identities index by index in Python integers, the twisted sums as
   an ``O(d^2)`` double loop, against the prefix sums of
@@ -206,3 +209,30 @@ def inverse_condition_failure(
         if (f[k] + twist * f[i - 1] + half // 2 * u_tilde) % n_half:
             return f"twisted-sum condition fails at i={i}"
     return None
+
+
+def reduction_conditions(cmap: CayleyMap, phi: np.ndarray, t: int) -> "dict[str, bool]":
+    """The conditions of the reduction to ``K = <a^2, b>``, in ``GroupElement`` arithmetic:
+
+    * ``coset``: ``phi(h omega_d) = phi(h) omega_1`` for every ``h`` in ``K``;
+    * ``R2``: ``phi(omega_d s omega_d^-1) = omega_1 phi^t(s) omega_1^-1`` for ``s`` in ``{a^2, b}``;
+    * ``R3``: ``phi(omega_d^2) = omega_1 omega_t``.
+    """
+    G = cmap.group
+
+    def image(g, steps=1):
+        code = G.encode(g)
+        for _ in range(steps):
+            code = int(phi[code])
+        return G.decode(code)
+
+    w1, wd = G.decode(int(cmap.omega_idx[0])), G.decode(int(cmap.omega_idx[-1]))
+    coset = all(
+        image(G.mul(h, wd)) == G.mul(image(h), w1) for h in G.elements() if h.x % 2 == 0
+    )
+    r2 = all(
+        image(G.mul(G.mul(wd, s), G.inv(wd))) == G.mul(G.mul(w1, image(s, t)), G.inv(w1))
+        for s in (G.el(2, 0), G.el(0, 1))
+    )
+    r3 = image(G.mul(wd, wd)) == G.mul(w1, G.decode(int(cmap.omega_idx[t - 1])))
+    return {"coset": coset, "R2": r2, "R3": r3}

@@ -1,30 +1,41 @@
 """Differential tests: the production certificates against the oracles.
 
-The dart certificate of ``maps.check_skew`` is compared with the ``|G|^2``
-pair sweep, and the closed-form face count of ``maps.genus`` with dart
-tracing, on maps of order up to ``2^11``.  One map of order ``2^16`` checks
-that the certificate covers every row block.  ``maps.is_regular``, which
-takes the arc propagation as its certificate, is compared with the dart
-certificate of the propagated candidate and with the arc-image count.  The closed-form generation
-certificate of ``Metacyclic.generates`` is compared with the closure BFS
-``closure_idx`` on random subsets.
+The skew law of every realized class is proved by the reduction
+certificate ``maps.check_skew_by_reduction``: the power function read by
+the ``omega_1`` probe, ``phi`` an automorphism of ``<a^2, b>`` (R1) and one
+identity on its two generators (R2), in ``O(|G|)``.  It is compared with
+the dart certificate of ``maps.check_skew`` on tables built from random
+residues up to order ``2^12``, and each of its conditions is broken once to
+show the failure and its witness.  The dart certificate is in turn compared with
+the ``|G|^2`` pair sweep, and the closed-form face count of ``maps.genus``
+with dart tracing, on maps of order up to ``2^11``.  One map of order
+``2^16`` checks that the dart certificate covers every row block.
+``maps.is_regular``, which takes the arc propagation as its certificate, is
+compared with the dart certificate of the propagated candidate and with
+the arc-image count.  The closed-form generation certificate of
+``Metacyclic.generates`` is compared with the closure BFS ``closure_idx``
+on random subsets.
 """
 
+import random
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 import oracles
-from rbcm import brute, maps
-from rbcm.classify import _generates_a2_b, realize
-from rbcm.groups import Metacyclic, parse_group
+from rbcm import autos, brute, maps
+from rbcm.classify import _build_phi, _generates_a2_b, realize
+from rbcm.groups import DeltaParams, Metacyclic, parse_group, plus_presentation
 from rbcm.maps import (
     CayleyMap,
     MapError,
     SkewFailure,
     SkewMorphism,
     check_skew,
+    check_skew_by_reduction,
     genus,
     is_regular,
     power_function_probe,
@@ -88,6 +99,184 @@ def assert_real_witness(cmap: CayleyMap, phi: np.ndarray, res) -> None:
     eta, mu = G.encode(res.eta), G.encode(res.mu)
     k = int(oracles.probe_power_function(cmap, phi)[eta])
     assert k < 0 or not oracles.law_holds_at(cmap, phi, k, eta, mu)
+
+
+def assert_reduction_witness(cmap: CayleyMap, phi: np.ndarray, res) -> None:
+    """The reported pair breaks the law for the exponent the reduction
+    requires at eta: 1 on ``<a^2, b>`` and ``t = pi(omega_d)`` off it; or the
+    probe finds no ``t``, and no exponent at eta either."""
+    assert isinstance(res, SkewFailure)
+    G = cmap.group
+    eta, mu = G.encode(res.eta), G.encode(res.mu)
+    probe = oracles.probe_power_function(cmap, phi)
+    k = 1 if res.eta.x % 2 == 0 else int(probe[cmap.omega_idx[-1]])
+    if k < 0:
+        assert probe[eta] < 0
+    else:
+        assert not oracles.law_holds_at(cmap, phi, k, eta, mu)
+
+
+REDUCTION_TRIPLES = ((7, 3, 4), (8, 3, 5), (8, 4, 5), (9, 3, 6))  # orders 2^10 to 2^12
+
+
+def test_reduction_matches_dart_certificate_on_built_tables():
+    """Tables of ``_build_phi`` on random residues ``(z, w, u~, u1, v1)``:
+    ``theta = sigma(z,1;0,w)`` is any automorphism of ``<a^2, b>`` in that
+    form, ``u~`` is odd, ``v1`` is -2 (as in every realized class) or free,
+    and ``u1`` is free or solves (C2) at ``ell = 1``.  Tuples whose orbit is
+    not a Cayley map are skipped.  Both verdicts must occur."""
+    rng = random.Random(12)
+    verdicts = Counter()
+    for a, b, c in REDUCTION_TRIPLES:
+        G = DeltaParams(a, b, c).group()
+        sub = plus_presentation(G).group
+        thetas = [
+            (z, w)
+            for z in range(1 << (a - 1))
+            for w in range(1 << b)
+            if autos.validate(autos.normal_form_params(sub, z, w))
+        ]
+        for _ in range(500):
+            z, w = rng.choice(thetas)
+            u_tilde = rng.randrange(1, 1 << (a - 1), 2)
+            v1 = rng.choice([-2 % (1 << b), rng.randrange(1 << b)])
+            c2 = -(1 + (1 << (c - 1)) * (v1 - 1)) * u_tilde  # (C2) at ell = 1
+            u1 = rng.choice([c2, rng.randrange(1 << (a - 1))]) % (1 << (a - 1))
+            phi, omega_d = _build_phi(G, z, w, u_tilde, u1, v1)
+            cycle = maps.orbit_walk(phi, omega_d)
+            if cycle is None:
+                continue
+            try:
+                cmap = CayleyMap(G, cycle)
+            except MapError:
+                continue
+            dart, reduced = check_skew(cmap, phi), check_skew_by_reduction(cmap, phi)
+            assert isinstance(reduced, SkewMorphism) == isinstance(dart, SkewMorphism)
+            if isinstance(reduced, SkewMorphism):
+                assert np.array_equal(reduced.pi, dart.pi)
+                verdicts["pass"] += 1
+            else:
+                assert_reduction_witness(cmap, phi, reduced)
+                verdicts["fail"] += 1
+    assert verdicts["pass"] >= 1 and verdicts["fail"] >= 1, verdicts
+
+
+def test_reduction_covers_exactly_the_maps_of_its_form():
+    """On every regular map the enumeration finds (where the law holds), the
+    reduction accepts exactly when ``pi`` is 1 on ``<a^2, b>`` and constant
+    off it and ``phi`` maps ``<a^2, b>`` into itself.  The other maps are
+    left to the dart certificate; each rejection names a real defect."""
+    verdicts = Counter()
+    for name in ("Z4", "Z8", "Z2xZ4", "L(8,2,3)", "L(16,4,5)"):
+        for cmap, phi in found_maps(name):
+            G = cmap.group
+            pi = check_skew(cmap, phi).pi
+            in_k = G.all_idx() // G.m % 2 == 0
+            of_form = np.all(pi[in_k] == 1) and np.unique(pi[~in_k]).size == 1
+            into = np.all(phi[in_k] // G.m % 2 == 0)
+            res = check_skew_by_reduction(cmap, phi)
+            assert isinstance(res, SkewMorphism) == bool(of_form and into)
+            if isinstance(res, SkewMorphism):
+                assert np.array_equal(res.pi, pi)
+            elif of_form:
+                assert "into itself" in res.detail
+                assert res.eta.x % 2 == 0 and res.mu.x % 2 == 1
+                assert G.encode(res.mu) == phi[G.encode(res.eta)]
+            else:
+                assert "pi is not 1" in res.detail
+                assert_reduction_witness(cmap, phi, res)
+            verdicts[res.detail if isinstance(res, SkewFailure) else "pass"] += 1
+    assert len(verdicts) == 3, verdicts
+
+
+def test_reduction_rejects_a_table_off_the_pi_rule():
+    r = realize(7, 3, 4, 0, full=False)
+    kernel = np.flatnonzero(r.skew.kernel_mask())
+    phi = r.skew.phi.copy()
+    phi[kernel[[1, -1]]] = phi[kernel[[-1, 1]]]
+    res = check_skew_by_reduction(r.cmap, phi)
+    assert res.detail == "phi(eta * mu0) is not phi(eta) * (generator)"
+    assert_reduction_witness(r.cmap, phi, res)
+
+
+def test_reduction_rejects_a_table_not_multiplicative_on_the_kernel():
+    # CM(Z4 x Z4, (a^3, a^3 b^3, a, a b)): filling each right coset of
+    # <omega_1> by the pi rule (1 on <a^2, b>, t = 1 off it) from a free
+    # start gives this table.  It passes the probe everywhere and maps
+    # <a^2, b> onto itself, but is not multiplicative there.
+    G = parse_group("Z4xZ4")
+    cmap = CayleyMap(G, [G.code(3, 0), G.code(3, 3), G.code(1, 0), G.code(1, 1)])
+    phi = np.array([0, 11, 8, 9, 5, 12, 13, 14, 10, 1, 2, 3, 15, 6, 7, 4])
+    assert np.all(power_function_probe(cmap, phi) == 1)
+    assert np.all(phi[G.all_idx() // G.m % 2 == 0] // G.m % 2 == 0)
+    res = check_skew_by_reduction(cmap, phi)
+    assert res.detail == "phi(k e) is not phi(k) phi(e) on <a^2, b>"
+    assert_reduction_witness(cmap, phi, res)
+    assert_real_witness(cmap, phi, res)
+
+
+def test_reduction_rejects_a_table_off_the_coset_rule():
+    # the coset rule is not checked: with (R1) it follows from pi = 1 on
+    # <a^2, b>, so the probe catches a table that breaks it
+    r = realize(7, 3, 4, 0, full=False)
+    G = r.cmap.group
+    off = np.setdiff1d(np.flatnonzero(G.all_idx() // G.m % 2), r.cmap.omega_idx)
+    phi = r.skew.phi.copy()
+    phi[off[[0, -1]]] = phi[off[[-1, 0]]]
+    assert not oracles.reduction_conditions(r.cmap, phi, r.solution.t)["coset"]
+    res = check_skew_by_reduction(r.cmap, phi)
+    assert res.detail == "phi(eta * mu0) is not phi(eta) * (generator)"
+    assert_reduction_witness(r.cmap, phi, res)
+
+
+def bad_w_table() -> "tuple[CayleyMap, np.ndarray]":
+    """The residues of the class ``z1 = 0`` of ``D(7,3,4)`` with ``w = 1`` in
+    place of 5 and ``u~ = 3``: the orbit is a Cayley map, (R1) and the pi
+    rule hold, and (R2) and (R3) fail."""
+    G = DeltaParams(7, 3, 4).group()
+    phi, omega_d = _build_phi(G, 3, 1, 3, 5, 6)
+    return CayleyMap(G, maps.orbit_walk(phi, omega_d)), phi
+
+
+def test_reduction_rejects_a_table_off_r2():
+    cmap, phi = bad_w_table()
+    res = check_skew_by_reduction(cmap, phi)
+    assert res.detail == "phi(omega_d s omega_d^-1) is not omega_1 phi^t(s) omega_1^-1"
+    assert res.eta == cmap.group.decode(int(cmap.omega_idx[-1]))
+    assert_reduction_witness(cmap, phi, res)
+    assert_real_witness(cmap, phi, res)
+    assert isinstance(check_skew(cmap, phi), SkewFailure)
+
+
+def test_reduction_rejects_tables_off_r3():
+    # (R3) is not checked: it follows from (R1), (R2) and pi(omega_d) = t,
+    # so (R2) or the probe catches a table that breaks it
+    cmap, phi = bad_w_table()
+    t = int(power_function_probe(cmap, phi)[cmap.omega_idx[-1]])
+    assert not oracles.reduction_conditions(cmap, phi, t)["R3"]
+    assert "omega_1 phi^t(s)" in check_skew_by_reduction(cmap, phi).detail
+    r = realize(7, 3, 4, 0, full=False)
+    G, wd = r.cmap.group, np.int64(r.cmap.omega_idx[-1])
+    square = int(G.mul_vec(wd, wd))
+    phi = r.skew.phi.copy()
+    phi[[square, G.code(2, 0)]] = phi[[G.code(2, 0), square]]
+    assert not oracles.reduction_conditions(r.cmap, phi, r.solution.t)["R3"]
+    res = check_skew_by_reduction(r.cmap, phi)
+    assert isinstance(res, SkewFailure)
+    assert_reduction_witness(r.cmap, phi, res)
+
+
+def test_reduction_holds_its_conditions_on_every_realized_class():
+    for cmap, phi in realized_maps(7, 3, 4) + realized_maps(8, 3, 5):
+        skew = check_skew_by_reduction(cmap, phi)
+        t = int(skew.pi[cmap.omega_idx[-1]])
+        assert oracles.reduction_conditions(cmap, phi, t) == {"coset": True, "R2": True, "R3": True}
+
+
+def test_reduction_needs_an_even_n():
+    G = parse_group("Z3")
+    with pytest.raises(MapError, match="odd n"):
+        check_skew_by_reduction(CayleyMap(G, [1, 2]), np.array([0, 2, 1]))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,10 +1,12 @@
 """Tests for the classification engine on D(a,b,c)."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
+import oracles
 from rbcm import autos, maps
 from rbcm.classify import (
     InternalInconsistency,
@@ -12,7 +14,6 @@ from rbcm.classify import (
     _even_products_match,
     _generates_a2_b,
     _residues_for,
-    _restriction_is_automorphism,
     _verify_conditions,
     check_necessary,
     classify,
@@ -21,7 +22,10 @@ from rbcm.classify import (
     realize,
 )
 from rbcm.groups import DeltaParams, GroupError
+from rbcm.maps import VerificationError
 from rbcm.twoadic import deg2
+
+classify_module = importlib.import_module("rbcm.classify")  # rbcm.classify is also a function
 
 
 def closed_form_cases(max_a=24, max_classes=64):
@@ -135,11 +139,46 @@ class TestRealize:
 
     def test_restriction_check_rejects_swapped_kernel_images(self):
         r = realize(7, 3, 4, 0)
-        assert _restriction_is_automorphism(r.cmap.group, r.skew)
+        G = r.cmap.group
+        assert maps.restriction_failure(G, r.skew.phi) is None
         kernel = np.flatnonzero(r.skew.kernel_mask())
         x, y = kernel[1], kernel[-1]
         r.skew.phi[[x, y]] = r.skew.phi[[y, x]]
-        assert not _restriction_is_automorphism(r.cmap.group, r.skew)
+        res = maps.restriction_failure(G, r.skew.phi)
+        assert res.detail == "phi(k e) is not phi(k) phi(e) on <a^2, b>"
+        k, e = G.encode(res.eta), G.encode(res.mu)
+        assert r.skew.phi[G.mul_vec(np.int64(k), np.int64(e))] != G.mul_vec(
+            r.skew.phi[k], r.skew.phi[e]
+        )
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_realize_runs_no_dart_certificate(self, monkeypatch, full):
+        def fail(cmap, phi):
+            raise AssertionError("the dart certificate ran")
+
+        monkeypatch.setattr(maps, "check_skew", fail)
+        r = realize(7, 3, 4, 0, full=full)
+        assert r.verified and r.checks["phi_restriction_is_automorphism"]
+
+    def test_table_off_r2_is_a_verification_error(self, monkeypatch):
+        # swap the image of omega_d a^2 omega_d^-1 with that of b: the cycle
+        # (all off <a^2, b>) and so the map and its balance stay as realized
+        build = classify_module._build_phi
+        broken = {}
+
+        def build_off_r2(G, *residues):
+            phi, omega_d = build(G, *residues)
+            wd = np.int64(omega_d)
+            conj = int(G.mul_vec(G.mul_vec(wd, np.int64(G.code(2, 0))), G.inv_vec(wd)))
+            phi[[conj, G.code(0, 1)]] = phi[[G.code(0, 1), conj]]
+            broken["phi"] = phi.copy()
+            return phi, omega_d
+
+        good = realize(7, 3, 4, 0, full=False)
+        monkeypatch.setattr(classify_module, "_build_phi", build_off_r2)
+        with pytest.raises(VerificationError, match="skew law fails"):
+            realize(7, 3, 4, 0, full=False)
+        assert not oracles.reduction_conditions(good.cmap, broken["phi"], good.solution.t)["R2"]
 
     def test_eta_check_rejects_generators_of_a_b2(self):
         r = realize(7, 3, 4, 0)

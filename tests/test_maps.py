@@ -24,6 +24,7 @@ from rbcm.maps import (
     balance_data,
     canonical_json,
     check_skew,
+    check_skew_by_reduction,
     generator_orbit,
     genus,
     is_regular,
@@ -90,6 +91,19 @@ class TestCheckSkew:
         res = check_skew(cm, twice)
         assert "bijection" in res.detail and (res.eta, res.mu) == (Z5.el(2, 0), Z5.el(3, 0))
         assert res.eta != res.mu and twice[Z5.encode(res.eta)] == twice[Z5.encode(res.mu)]
+
+    def test_reduction_keeps_the_table_witnesses(self):
+        # CM(Z4, (1, 3)) with the automorphism x -> -x
+        cm = cyclic_map(Z4, [1, 3])
+        phi = -Z4.all_idx() % 4
+        assert isinstance(check_skew_by_reduction(cm, phi), SkewMorphism)
+        moved, twice, off_rho = phi.copy(), phi.copy(), phi.copy()
+        moved[[0, 2]] = moved[[2, 0]]
+        twice[2] = twice[1]
+        off_rho[[1, 3]] = off_rho[[3, 1]]
+        for bad, detail in ((moved, "identity"), (twice, "bijection"), (off_rho, "rho")):
+            res = check_skew_by_reduction(cm, bad)
+            assert detail in res.detail and res == check_skew(cm, bad)
 
     def test_automorphism_gives_trivial_pi(self):
         cm = cyclic_map(Z5, [1, 2, 4, 3])
