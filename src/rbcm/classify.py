@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -80,6 +80,17 @@ def check_necessary(a: int, b: int, c: int) -> NecessaryReport:
     )
 
 
+#: residue products mod ``n = 2^a`` are int64, which needs ``n^2 < 2^63``;
+#: then ``b < c <= a-3`` keeps the codes ``x*m + y`` in int64 too
+MAX_A = 31
+
+
+def _check_a_in_range(a: int) -> None:
+    """``GroupError`` past ``MAX_A``, before anything ``|G|``-sized is allocated."""
+    if a > MAX_A:
+        raise GroupError(f"a={a} is out of range: int64 residue products mod 2^a need a <= {MAX_A}")
+
+
 @dataclass(frozen=True)
 class ClassificationSolution:
     """One isomorphism class, as the residues that realize it."""
@@ -98,20 +109,7 @@ class ClassificationSolution:
     ell: int
 
     def to_json_dict(self, verified: "Optional[bool]" = None, genus: "Optional[int]" = None) -> dict:
-        doc = {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "z1": self.z1,
-            "z": self.z,
-            "w": self.w,
-            "u_tilde": self.u_tilde,
-            "u1": self.u1,
-            "v1": self.v1,
-            "t": self.t,
-            "d": self.d,
-            "ell": self.ell,
-        }
+        doc = asdict(self)
         if verified is not None:
             doc["verified"] = verified
         if genus is not None:
@@ -213,20 +211,35 @@ def realize(
 
     Both levels run the closed-form residues, one build of the map (whose
     offset must read back as ``ell = 1``), the congruence checks and the
-    reduction certificate ``maps.check_skew_by_reduction``, which proves
-    the skew law on all ``|G|^2`` pairs from its restriction to
-    ``<a^2, b>`` in ``O(|G|)``; its (R1) is the check that ``phi`` is an
-    automorphism there.
-    Every generation proof (``Omega`` generates ``G``; the ``eta_i`` and the
-    even products generate ``ker pi = <a^2, b>``) is the closed-form parity
-    span of ``Metacyclic.generates``, exact on these 2-groups by the
-    Burnside basis theorem; no closure is computed.
-    ``full=False`` skips the orbit identities, the kernel generation
-    checks and genus.
+    reduction certificate ``maps.check_skew_by_reduction``, which proves the
+    skew law on all ``|G|^2`` pairs from its restriction to ``<a^2, b>`` in
+    ``O(|G|)``.  Every generation proof is the closed-form parity span of
+    ``Metacyclic.generates`` (Burnside basis theorem); no closure is computed.
+    ``checks`` names each check that ran: a failed one raises
+    ``VerificationError`` naming its key (``InternalInconsistency`` for an
+    engine identity), so every value is ``True``.  Each key is proved by:
+
+    * ``skew_law_all_pairs``: the reduction certificate;
+    * ``phi_restriction_is_automorphism``: the certificate's (R1);
+    * ``pi_on_generators_is_t``: ``pi(omega_d) = t``; the certificate's ``pi``
+      is ``pi(omega_d)`` off ``<a^2, b>``, where (R1) keeps every ``omega_i``;
+    * ``kernel_is_a2_b``: the certificate's ``pi = 1`` on ``<a^2, b>``, ``t != 1`` by (C4);
+    * ``pi_two_valued``: the certificate's ``pi``, 1 on ``<a^2, b>`` and ``t`` off it;
+    * ``balanced``: ``maps.balance_data``, read back with ``ell = 1``;
+    * ``deg2_t_plus_1``: (C4) and ``deg2(t+1) >= b+1`` in ``_verify_conditions``;
+    * ``type_I_normalized``: type I with ``ell = gcd(t-1, d) / 2``;
+    * ``plus_part_is_normal_form``: ``phi(a^2) = a^(2z) b`` and ``phi(b) = b^w``;
+    * ``inverse_conditions`` (full only): ``maps.verify_inverse_conditions``;
+    * ``kernel_generated_by_etas`` (full only): ``_generates_a2_b`` on the ``eta_i``;
+    * ``kernel_is_even_products`` (full only): ``_generates_a2_b`` on ``_even_products``.
+
+    The last two prove generation of ``ker pi``, as ``pi = 1`` on ``<a^2, b>``.
+    ``full=False`` also skips the orbit identities and genus.
     """
     report = check_necessary(a, b, c)
     if not report.existence:
         raise GroupError(report.reason)
+    _check_a_in_range(a)
     mod_x = 1 << (a - 1)
     if z is None:
         if z1 is None or not 0 <= z1 < (1 << (a - c - 1)):
@@ -254,46 +267,40 @@ def realize(
     _verify_conditions(a, b, c, z, w, ell, t, u_tilde, u1, v1)
     solution = ClassificationSolution(a, b, c, z1, z, w, u_tilde, u1, v1, t, d, ell)
 
-    checks: "dict[str, bool]" = {}
     res = maps.check_skew_by_reduction(cmap, phi)
     if not isinstance(res, SkewMorphism):
         raise VerificationError(f"skew law fails at ({res.eta}, {res.mu}): {res.detail}")
     skew = res
-    checks["skew_law_all_pairs"] = True
-    checks["phi_restriction_is_automorphism"] = True  # (R1), inside the certificate
-    checks["balanced"] = True
-    checks["type_I_normalized"] = (
-        bal.map_type == "I" and ell == (np.gcd(t - 1, d) // 2 if t > 1 else d // 2)
-    )
-    checks["kernel_is_a2_b"] = _kernel_is_a2_b(G, skew)
-    checks["pi_on_generators_is_t"] = bool(np.all(skew.pi[cmap.omega_idx] == t))
-    checks["pi_two_valued"] = set(skew.pi.tolist()) == {1, t}
-    checks["plus_part_is_normal_form"] = _plus_part_matches(G, skew, z, w)
-    checks["deg2_t_plus_1"] = True  # both bounds are raised on in _verify_conditions
-
-    orbit = None
-    emb = None
+    ran = [
+        "skew_law_all_pairs", "phi_restriction_is_automorphism", "kernel_is_a2_b",
+        "pi_two_valued", "balanced", "deg2_t_plus_1",  # proved above: see the docstring
+        _require(int(skew.pi[omega_d]) == t, "pi_on_generators_is_t"),
+        _require(bal.map_type == "I" and ell == np.gcd(t - 1, d) // 2, "type_I_normalized"),
+        _require(_plus_part_matches(G, phi, z, w), "plus_part_is_normal_form"),
+    ]
+    orbit = emb = None
     if full:
         orbit = maps.generator_orbit(cmap, skew, bal)
         maps.verify_inverse_conditions(cmap, orbit, bal, u_tilde)
-        checks["inverse_conditions"] = True
-        checks["kernel_generated_by_etas"] = _generates_a2_b(G, orbit.eta)
-        checks["kernel_is_even_products"] = checks["kernel_is_a2_b"] and _even_products_match(
-            G, skew, _even_products(G, cmap)
-        )
+        ran += [
+            "inverse_conditions",
+            _require(_generates_a2_b(G, orbit.eta), "kernel_generated_by_etas"),
+            _require(_generates_a2_b(G, _even_products(G, cmap)), "kernel_is_even_products"),
+        ]
         emb = maps.genus(cmap)
-    return RealizedRbcm(solution, cmap, skew, bal, orbit, emb, checks)
+    return RealizedRbcm(solution, cmap, skew, bal, orbit, emb, dict.fromkeys(ran, True))
 
 
-def _plus_part_matches(G: Metacyclic, skew: SkewMorphism, z: int, w: int) -> bool:
+def _require(ok: bool, key: str) -> str:
+    """``key`` if its check holds; otherwise a ``VerificationError`` naming it."""
+    if not ok:
+        raise VerificationError(f"check {key} fails")
+    return key
+
+
+def _plus_part_matches(G: Metacyclic, phi: np.ndarray, z: int, w: int) -> bool:
     """``phi(a^2) = a^(2z) b`` and ``phi(b) = b^w``."""
-    phi = skew.phi
     return int(phi[G.code(2, 0)]) == G.code(2 * z, 1) and int(phi[G.code(0, 1)]) == G.code(0, w)
-
-
-def _kernel_is_a2_b(G: Metacyclic, skew: SkewMorphism) -> bool:
-    """ker pi is exactly ``<a^2, b>``, the elements with even ``x``."""
-    return bool(np.array_equal(skew.kernel_mask(), (G.all_idx() // G.m) % 2 == 0))
 
 
 def _generates_a2_b(G: Metacyclic, gens: "list[int] | np.ndarray") -> bool:
@@ -311,21 +318,8 @@ def _generates_a2_b(G: Metacyclic, gens: "list[int] | np.ndarray") -> bool:
 
 def _even_products(G: Metacyclic, cmap: CayleyMap) -> np.ndarray:
     """The products ``omega_i omega_1``, ``omega_1^-1 omega_i`` and ``omega_i omega_d``."""
-    w1 = cmap.omega_idx[0]
-    wd = cmap.omega_idx[-1]
-    return np.concatenate(
-        [
-            G.mul_vec(cmap.omega_idx, np.int64(w1)),
-            G.mul_vec(G.inv_vec(np.int64(w1)), cmap.omega_idx),
-            G.mul_vec(cmap.omega_idx, np.int64(wd)),
-        ]
-    )
-
-
-def _even_products_match(G: Metacyclic, skew: SkewMorphism, products: np.ndarray) -> bool:
-    """``products`` lie in ker pi and generate ``<a^2, b>``; where ker pi is
-    ``<a^2, b>`` (the ``kernel_is_a2_b`` check), they generate ker pi."""
-    return bool(np.all(skew.pi[products] == 1)) and _generates_a2_b(G, products)
+    w = cmap.omega_idx
+    return np.concatenate([G.mul_vec(w, w[0]), G.mul_vec(G.inv_vec(w[0]), w), G.mul_vec(w, w[-1])])
 
 
 # -- pairwise distinctness -------------------------------------------------------
@@ -439,6 +433,7 @@ def classify(
     report = check_necessary(a, b, c)
     if not report.existence:
         return ClassifyOutcome(report, [], [], [], None)
+    _check_a_in_range(a)
     full = verify_level == "full"
     tasks = [(a, b, c, z1, full) for z1 in range(1 << (a - c - 1))]
     nworkers = workers if workers is not None else default_workers()

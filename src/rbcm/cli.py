@@ -1,12 +1,15 @@
 """Command-line front end: JSON on stdout, human summaries on stderr.
 
 Exit codes: 0 success, 1 a requested verification failed, 2 usage or input
-error, 3 a search budget was exceeded (partial output is flagged), 4 an
-internal inconsistency (a derived identity failed: an engine bug, not bad
-input).  ``main`` holds the one mapping from exceptions to exit codes: an
-unreadable file, malformed JSON, a ``GroupError`` or ``MapError`` (exit 2),
-a ``VerificationError`` (exit 1) or an ``InternalInconsistency`` (exit 4)
-escaping a command prints ``{"error": ...}``.
+error, 3 a search budget was exceeded (partial output is flagged) or memory
+ran out, 4 an internal inconsistency (a derived identity failed: an engine
+bug, not bad input).  ``main`` holds the one mapping from exceptions to exit
+codes: an unreadable file, malformed JSON, a ``GroupError`` or ``MapError``
+(exit 2; ``classify`` raises one for ``a`` past ``classify.MAX_A``), a
+``VerificationError`` (exit 1; ``realize`` raises one naming the ``checks``
+key that failed), a ``MemoryError`` (exit 3) or an
+``InternalInconsistency`` (exit 4) escaping a command prints
+``{"error": ...}``.
 """
 
 from __future__ import annotations
@@ -330,6 +333,10 @@ def main(argv: "Optional[list[str]]" = None) -> int:
     except VerificationError as exc:
         _emit({"error": str(exc)}, f"verification failed: {exc}")
         return EXIT_VERIFY_FAILED
+    except MemoryError as exc:
+        message = str(exc) or "out of memory"
+        _emit({"error": message}, f"out of memory: {message}")
+        return EXIT_BUDGET
     except InternalInconsistency as exc:
         _emit({"error": str(exc)}, f"internal inconsistency: {exc}")
         return EXIT_INTERNAL

@@ -646,14 +646,7 @@ def generator_orbit(cmap: CayleyMap, skew: SkewMorphism, bal: BalanceData) -> Ge
         if np.any(test):
             raise VerificationError(f"{what} at j={int(np.flatnonzero(test)[0]) + 1}")
 
-    w_d_inv = G.inv_vec(w[-1])
-    prod = G.mul_vec(w, w_d_inv)  # omega_j omega_d^-1, to be eta_j ... eta_1
-    before = np.concatenate(([0], prod[:-1]))  # the identity (code 0) before eta_1
-    if np.any(G.mul_vec(eta, before) != prod):
-        raise VerificationError("prefix products of the eta_j are not omega_j omega_d^-1")
-    # omega_d^-2 = eta_ell ... eta_1
-    if G.mul_vec(w_d_inv, w_d_inv) != prod[bal.ell - 1]:
-        raise VerificationError("omega_d^-2 != eta_ell ... eta_1")
+    prod = G.mul_vec(w, G.inv_vec(w[-1]))  # omega_j omega_d^-1 = eta_j ... eta_1, telescoping
     # closed forms: g_i = v_1 + ... + v_i, and the twisted sum
     # f_i = r^(g_i) (r^(-g_1) u_1 + ... + r^(-g_i) u_i)  (mod n/2)
     u, v = eta // m // 2, eta % m

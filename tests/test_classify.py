@@ -11,7 +11,6 @@ from rbcm import autos, maps
 from rbcm.classify import (
     InternalInconsistency,
     _even_products,
-    _even_products_match,
     _generates_a2_b,
     _residues_for,
     _verify_conditions,
@@ -194,12 +193,12 @@ class TestRealize:
         r = realize(7, 3, 4, 0)
         G = r.cmap.group
         products = _even_products(G, r.cmap)
-        assert _even_products_match(G, r.skew, products)
+        assert _generates_a2_b(G, products)
         # their squares lie in ker pi but span only a proper subgroup of it
-        assert not _even_products_match(G, r.skew, G.mul_vec(products, products))
+        assert not _generates_a2_b(G, G.mul_vec(products, products))
         products[3] = G.mul_vec(products[3], np.int64(G.encode(G.alpha())))
         assert r.skew.pi[products[3]] != 1
-        assert not _even_products_match(G, r.skew, products)
+        assert not _generates_a2_b(G, products)
 
     def test_invalid_theta_is_an_engine_bug(self, monkeypatch):
         # x1 = 2z makes the determinant of sigma(2z,1;0,w) even
@@ -233,6 +232,37 @@ class TestRealize:
     def test_no_existence(self):
         with pytest.raises(GroupError, match="c > b"):
             realize(7, 4, 3, 0)
+
+    # every key realize proves at each level; criteria 1 and 3 read some of them
+    FAST_CHECKS = {
+        "skew_law_all_pairs", "phi_restriction_is_automorphism", "pi_on_generators_is_t",
+        "kernel_is_a2_b", "pi_two_valued", "balanced", "deg2_t_plus_1",
+        "type_I_normalized", "plus_part_is_normal_form",
+    }
+    CHECKS = {
+        "fast": FAST_CHECKS,
+        "full": FAST_CHECKS
+        | {"inverse_conditions", "kernel_generated_by_etas", "kernel_is_even_products"},
+    }
+
+    @pytest.mark.parametrize("level", ["fast", "full"])
+    def test_checks_keys_are_stable(self, level):
+        r = realize(7, 3, 4, 0, full=level == "full")
+        assert set(r.checks) == self.CHECKS[level]
+        assert all(v is True for v in r.checks.values()) and r.verified
+
+    @pytest.mark.parametrize("a, b, c", [(32, 16, 17), (40, 21, 22)])
+    def test_a_past_int64_bound_is_rejected_before_any_allocation(self, monkeypatch, a, b, c):
+        def allocate(self):
+            raise AssertionError("the group was built")
+
+        monkeypatch.setattr(DeltaParams, "group", allocate)
+        for run in (lambda: realize(a, b, c, 0), lambda: classify(a, b, c, "fast", workers=1)):
+            with pytest.raises(GroupError, match=r"a <= 31"):
+                run()
+        # a = 31 passes the bound and goes on to build the group
+        with pytest.raises(AssertionError, match="group was built"):
+            realize(31, 15, 16, 0)
 
     def test_z_shifted_class_is_isomorphic(self):
         # z and z + 2^(a-2) describe the same class (a conjugation reaches it)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, JSON contracts, determinism."""
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -7,7 +8,7 @@ import json
 import pytest
 
 from rbcm import brute, maps
-from rbcm.cli import EXIT_INTERNAL, EXIT_VERIFY_FAILED, main
+from rbcm.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from rbcm.classify import InternalInconsistency, default_workers, realize
 from rbcm.groups import Metacyclic
 from rbcm.maps import VerificationError, canonical_json, map_to_json_dict
@@ -80,7 +81,8 @@ class TestClassifyCommand:
     @pytest.mark.parametrize(
         "error, code",
         [(VerificationError("tampered check"), EXIT_VERIFY_FAILED),
-         (InternalInconsistency("broken identity"), EXIT_INTERNAL)],
+         (InternalInconsistency("broken identity"), EXIT_INTERNAL),
+         (MemoryError("Unable to allocate 8.00 EiB"), EXIT_BUDGET)],
     )
     def test_engine_errors_become_json(self, capsys, monkeypatch, error, code):
         def fail(*args, **kwargs):
@@ -94,6 +96,38 @@ class TestClassifyCommand:
             assert got == code
             assert doc == {"error": str(error)}
             assert str(error) in err
+
+    @pytest.mark.parametrize(
+        "field, key",
+        [("map_type", "type_I_normalized"), ("t", "pi_on_generators_is_t")],
+    )
+    def test_failed_check_raises_naming_its_key(self, capsys, monkeypatch, field, key):
+        # a balance with the wrong type, or a t that passes (C4) and the
+        # normalization but is not pi(omega_d)
+        balance_data = maps.balance_data
+
+        def tampered(cmap):
+            bal = balance_data(cmap)
+            value = "II" if field == "map_type" else bal.t + bal.d
+            return dataclasses.replace(bal, **{field: value})
+
+        monkeypatch.setattr(maps, "balance_data", tampered)
+        with pytest.raises(VerificationError, match=f"^check {key} fails$"):
+            realize(7, 3, 4, 0, full=False)
+        argv = ("--workers", "1", "classify", "--a", "7", "--b", "3", "--c", "4")
+        code, doc, _ = run_cli(capsys, *argv)
+        assert code == EXIT_VERIFY_FAILED
+        assert doc == {"error": f"check {key} fails"}
+
+    def test_a_past_int64_bound_is_a_usage_error(self, capsys, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise AssertionError("a map was realized")
+
+        monkeypatch.setattr(importlib.import_module("rbcm.classify"), "realize", allocate)
+        argv = ("--workers", "1", "classify", "--a", "40", "--b", "21", "--c", "22")
+        code, doc, _ = run_cli(capsys, *argv, "--verify-level", "fast")
+        assert code == EXIT_USAGE
+        assert "a <= 31" in doc["error"]
 
     # sha256 of the stdout of ``rbcm --workers W classify --a A --b B --c C
     # --verify-level full``, the same for W = 1 and 2.  Only a change meant to

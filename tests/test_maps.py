@@ -220,10 +220,12 @@ class TestOrbitIdentities:
     """Each check of ``generator_orbit`` and ``verify_inverse_conditions``
     that an input can reach, with its message and its first failing index.
 
-    Four checks of ``generator_orbit`` follow from the group law once the
-    inverse bookkeeping passes: the prefix products, ``omega_d^-2``, and
-    the ``g``-sums, as ``y``-exponents add.  The halved coefficient
-    ``r^g + r^-1`` is even modulo an even ``n``.  No input reaches those."""
+    Two checks follow from the group law: the ``g``-sums of
+    ``generator_orbit``, as ``y``-exponents add, and the even halved
+    coefficient ``r^g + r^-1`` of ``verify_inverse_conditions`` modulo an
+    even ``n``.  No input reaches those.  The prefix products are
+    ``omega_j omega_d^-1`` by definition, and ``omega_d^-2 = eta_ell ...
+    eta_1`` is the inverse bookkeeping at ``j = 1``, so neither is checked."""
 
     @pytest.fixture(scope="class")
     def realized(self):
