@@ -197,23 +197,25 @@ def subgroup_automorphism_perms(G: Metacyclic, members: np.ndarray) -> "list[np.
 # -- canonical forms and deduplication ------------------------------------------
 
 
-def _canonical_form(cmap: CayleyMap, aut_perms: "list[np.ndarray]") -> tuple:
-    """Lexicographically least rotated image of the generator cycle over Aut(G)."""
-    best = None
-    seq = cmap.omega_idx
-    for perm in aut_perms:
-        image = perm[seq]
-        start = int(np.argmin(image))
-        rolled = tuple(np.roll(image, -start).tolist())
-        if best is None or rolled < best:
-            best = rolled
-    return best
+def _canonical_form(cmap: CayleyMap, aut_perms: "list[np.ndarray] | np.ndarray") -> tuple:
+    """Lexicographically least rotated image of the generator cycle over Aut(G).
+
+    ``aut_perms`` is a list of permutations or their stacked array: one
+    gather gives every image, each row is rotated to its least code, and
+    ``lexsort`` (first column primary) picks the least row.
+    """
+    images = np.asarray(aut_perms)[:, cmap.omega_idx]
+    d = images.shape[1]
+    starts = images.argmin(axis=1)[:, None]
+    rolled = np.take_along_axis(images, (starts + np.arange(d)) % d, axis=1)
+    return tuple(rolled[np.lexsort(rolled.T[::-1])[0]].tolist())
 
 
 def _dedupe(found: "list[FoundMap]", aut_perms: "list[np.ndarray]") -> "list[FoundMap]":
+    stacked = np.asarray(aut_perms)
     seen = {}
     for fm in found:
-        key = _canonical_form(fm.cmap, aut_perms)
+        key = _canonical_form(fm.cmap, stacked)
         if key not in seen:
             seen[key] = fm
     return [seen[k] for k in sorted(seen)]
@@ -239,6 +241,19 @@ def _reverify(G: Metacyclic, omega_idx: "list[int]") -> "Optional[FoundMap]":
     return FoundMap(cmap, skew, bal)
 
 
+def _reverify_once(G: Metacyclic, cycle: "list[int]", seen: "set[tuple]") -> "Optional[FoundMap]":
+    """``_reverify`` on the first rotation of ``cycle`` to arrive; None on a repeat.
+
+    ``seen`` holds each sent cycle rotated to start at its least code.
+    """
+    start = cycle.index(min(cycle))
+    key = tuple(cycle[start:] + cycle[:start])
+    if key in seen:
+        return None
+    seen.add(key)
+    return _reverify(G, cycle)
+
+
 # -- structured enumeration over index-2 subgroups -------------------------------
 
 
@@ -254,12 +269,22 @@ def enumerate_rbcm(
     ``phi(h * omega_d) = phi(h) * omega_1`` on the coset.  With
     ``exhaustive=True`` every output is also re-certified by the arc-image
     counting oracle.
+
+    Both arms send each candidate cycle to ``_reverify`` once up to
+    rotation.  A rotation of the cycle re-indexes the same map: same
+    ``Omega``, same ``rho``.  Inverse closure, generation, regularity and
+    t-balance are properties of the map, so ``_reverify``'s verdict is the
+    same on every rotation.  The canonical form is the least rotation over
+    ``Aut(G)``, so every rotation has the same key, and ``_dedupe`` keeps
+    the first map found per key: the one the skip keeps.  The output is
+    therefore unchanged.
     """
     _check_order(G, budget, 64)
     start = time.monotonic()
     aut_perms = automorphism_perms(G, SearchBudget(max_order=max(64, G.order)))
     found: "list[FoundMap]" = []
-    _balanced_arm(G, aut_perms, start, budget, found)
+    seen: "set[tuple]" = set()
+    _balanced_arm(G, aut_perms, start, budget, found, seen)
 
     # t > 1 arm: kernel subgroup + automorphism + coset seeds
     for H in index2_subgroups(G):
@@ -277,7 +302,7 @@ def enumerate_rbcm(
                     orbit = orbit_walk(phi, int(wd))
                     if orbit is None:
                         continue
-                    fm = _reverify(G, orbit)
+                    fm = _reverify_once(G, orbit, seen)
                     if fm is not None:
                         found.append(fm)
 
@@ -294,15 +319,16 @@ def enumerate_rbcm(
 
 def _balanced_arm(
     G: Metacyclic, aut_perms: "list[np.ndarray]", start: float, budget: SearchBudget,
-    found: "list[FoundMap]",
+    found: "list[FoundMap]", seen: "set[tuple]",
 ) -> None:
     """Append the maps whose rotation extends to an automorphism: the
-    inverse-closed generating cycles of ``aut_perms``."""
+    inverse-closed generating cycles of ``aut_perms``, each rotation class
+    once (``seen``)."""
     for perm in aut_perms:
         for orbit in perm_cycles(perm):
             if 0 in orbit:
                 continue
-            fm = _reverify(G, orbit)
+            fm = _reverify_once(G, orbit, seen)
             if fm is not None:
                 found.append(fm)
         _check_time(start, budget, found)
@@ -325,8 +351,10 @@ def naive_enumerate_rbcm(
     orderings are generated directly from the involution structure
     ``iota(i) = ell + t i`` (the only orderings that can satisfy the balance
     identity), with the least generator pinned at the first position so each
-    cyclic ordering appears once.  Survivors are certified with the
-    arc-image counting oracle.
+    cyclic ordering appears once.  The checks on the set (no identity,
+    inverse-closed, generating) run once per set; all its orderings then
+    propagate together (``maps.regular_orderings``).  Survivors are
+    certified with the arc-image counting oracle.
     """
     _check_order(G, budget, 32)
     start = time.monotonic()
@@ -344,11 +372,13 @@ def naive_enumerate_rbcm(
             if not omega_set or not G.generates(omega_set):
                 continue
             _check_time(start, budget, found)
-            d = len(omega_set)
-            for omega_idx in _balanced_orderings(chosen_inv, chosen_pairs, d, min(omega_set)):
-                fm = _reverify(G, omega_idx)
-                if fm is not None:
-                    found.append(fm)
+            orderings = _balanced_orderings(
+                chosen_inv, chosen_pairs, len(omega_set), min(omega_set)
+            )
+            for skew in maps.regular_orderings(G, orderings):
+                bal = maps.balance_data(skew.cmap)
+                if bal is not None:
+                    found.append(FoundMap(skew.cmap, skew, bal))
 
     aut_perms = automorphism_perms(G, SearchBudget(max_order=max(64, G.order)))
     result = _dedupe(found, aut_perms)
@@ -480,7 +510,8 @@ def guided_search_delta(
     found: "list[FoundMap]" = []
 
     aut_perms = [autos.as_perm(p) for p in autos.aut_group(G)]
-    _balanced_arm(G, aut_perms, start, budget, found)
+    seen: "set[tuple]" = set()
+    _balanced_arm(G, aut_perms, start, budget, found, seen)
 
     pres = plus_presentation(G)
     sub = pres.group
@@ -603,7 +634,7 @@ def guided_search_delta(
                 pi = maps.power_function_probe(cmap, phi)
                 if not set(np.unique(pi).tolist()) <= {1, t0 % d or d}:
                     continue
-                fm = _reverify(G, orbit)
+                fm = _reverify_once(G, orbit, seen)
                 if fm is not None:
                     found.append(fm)
 

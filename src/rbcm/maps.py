@@ -18,10 +18,11 @@ for a power function ``pi: G -> {1, ..., d}``.  t-balance means
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -388,49 +389,88 @@ def normalize_indexing(cmap: CayleyMap, bal: BalanceData) -> "tuple[CayleyMap, B
 
 # -- regularity by arc propagation ---------------------------------------------
 
+#: darts in one step of ``_propagate``, and vertices in one block of its
+#: rows: the bound on a step's temporaries.  At ``2^16`` the exhaustive
+#: enumeration of ``L(16,2,7)`` peaked 10 MB higher than at ``2^12``.
+STEP_DARTS = 1 << 12
 
-def _propagate(cmap: CayleyMap, img0: int, shift0: int) -> "Optional[tuple[np.ndarray, np.ndarray]]":
-    """Extend the arc assignment ``(1, omega_1) -> (img0, omega_(1+shift0))``.
 
-    Propagates the unique candidate map automorphism breadth-first: a vertex
-    carries its image and a label shift, and following an arc transports both
-    (the reversed arc pins the shift at the far end).  Returns the vertex
-    images and label shifts, or None at the first inconsistency.
+def _propagate(
+    G: Metacyclic, omega: np.ndarray, iota0: np.ndarray, img0: np.ndarray, shift0: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Extend the arc assignment ``(1, omega_1) -> (img0, omega_(1+shift0))`` of every row.
 
-    Only images are compared where an arc reaches a known vertex.  Every
-    vertex is expanded, so the image law is checked on every dart and its
-    reverse, and with distinct generators that pins every label shift (the
-    reversal argument in ``check_skew``'s docstring).
+    Row ``k`` is a generator cycle ``omega[k]`` of valency ``d`` (distinct
+    codes, closed under inverses, ``iota0[k]`` the 0-based position of each
+    inverse) with a starting arc image ``(img0[k], shift0[k])``.  Each row
+    propagates its unique candidate map automorphism: a vertex carries its
+    image and a label shift, and the dart ``(v, i)`` from ``v`` along
+    ``omega_i`` sends ``v omega_i`` to ``img(v) omega_(i+sh(v))`` with the
+    shift ``iota(i+sh(v)) - iota(i)`` (the reversed dart pins it).
+
+    The rows advance level-synchronously: a step expands the breadth-first
+    frontier of every live row, at most ``STEP_DARTS`` darts at a time.  A
+    dart whose head is already known is compared with the head's image;
+    the arrivals at a fresh head are compared among themselves, and the
+    first one assigns its image and shift.  A row drops out at its first
+    inconsistency, and at the end unless it reached every vertex
+    (unreachable for a generating set) with a bijection.
+
+    So every dart of every vertex is compared with the one image its head
+    ends with: the checks of a walk that expands one vertex at a time, in
+    any order.  Either passes exactly when ``img(v omega_i) = img(v)
+    omega_(i+sh(v))`` holds on every dart.  Then, by the reversal argument
+    in ``check_skew``'s docstring (distinct generators), every dart into a
+    vertex gives it the same shift, so the order of expansion changes
+    neither image nor shift: a passing row is the map automorphism fixed by
+    the image of one arc, the same as the sequential walk's.
+
+    Returns ``(ok, img, sh)``: the verdict of each row, and the ``(rows,
+    |G|)`` vertex images and label shifts, meaningful where ``ok``.
     """
-    G = cmap.group
-    N, d = G.order, cmap.d
-    omega_idx = cmap.omega_idx
-    iota0 = cmap.iota0
+    R, d = omega.shape
+    N = G.order
+    img = np.full((R, N), -1, dtype=np.int64)
+    sh = np.full((R, N), -1, dtype=np.int64)
+    img[:, 0] = img0  # the identity is code 0
+    sh[:, 0] = shift0
+    flat_img, flat_sh = img.reshape(-1), sh.reshape(-1)
+    ok = np.ones(R, dtype=bool)
+    frontier = np.arange(R, dtype=np.int64) * N  # flat index row * N + vertex
     arange = np.arange(d)
-    img = np.full(N, -1, dtype=np.int64)
-    sh = np.full(N, -1, dtype=np.int64)
-    e = G.encode(G.identity())
-    img[e] = img0
-    sh[e] = shift0
-    queue = [e]
-    while queue:
-        v = queue.pop()
-        rotated = (arange + sh[v]) % d
-        ws = G.mul_vec(np.int64(v), omega_idx)
-        wis = G.mul_vec(np.int64(img[v]), omega_idx[rotated])
-        deltas = (iota0[rotated] - iota0) % d
-        known = img[ws] >= 0
-        if np.any(img[ws[known]] != wis[known]):
-            return None
-        fresh = ws[~known]
-        img[fresh] = wis[~known]
-        sh[fresh] = deltas[~known]
-        queue.extend(fresh.tolist())
-    if np.any(img < 0):
-        return None  # unreachable for a generating set
-    if np.bincount(img, minlength=N).max() != 1:
-        return None
-    return img, sh
+    width = max(1, STEP_DARTS // d)
+    while frontier.size:
+        arrivals = []
+        for start in range(0, frontier.size, width):
+            f = frontier[start : start + width]
+            f = f[ok[f // N]]
+            if not f.size:
+                continue
+            rows = f // N
+            base = rows * N
+            om, io = omega[rows], iota0[rows]
+            rotated = (arange + flat_sh[f][:, None]) % d
+            heads = (G.mul_vec((f - base)[:, None], om) + base[:, None]).ravel()
+            images = G.mul_vec(flat_img[f][:, None], np.take_along_axis(om, rotated, 1)).ravel()
+            shifts = ((np.take_along_axis(io, rotated, 1) - io) % d).ravel()
+            known = flat_img[heads]
+            seen = known >= 0
+            ok[heads[seen & (known != images)] // N] = False
+            heads, images, shifts = heads[~seen], images[~seen], shifts[~seen]
+            fresh, first, which = np.unique(heads, return_index=True, return_inverse=True)
+            ok[heads[images != images[first][which]] // N] = False
+            flat_img[fresh] = images[first]
+            flat_sh[fresh] = shifts[first]
+            arrivals.append(fresh)
+        frontier = np.concatenate(arrivals) if arrivals else frontier[:0]
+    ok &= np.all(img >= 0, axis=1)
+    ok[ok] = np.all(np.diff(np.sort(img[ok], axis=1), axis=1) > 0, axis=1)
+    return ok, img, sh
+
+
+def _propagated_skew(cmap: CayleyMap, img: np.ndarray, sh: np.ndarray) -> SkewMorphism:
+    """A passing propagation as a skew-morphism: the label shifts are ``pi`` mod ``d``."""
+    return SkewMorphism(cmap, img, np.where(sh == 0, cmap.d, sh))
 
 
 def is_regular(cmap: CayleyMap) -> "Optional[SkewMorphism]":
@@ -443,24 +483,52 @@ def is_regular(cmap: CayleyMap) -> "Optional[SkewMorphism]":
     is the dart certificate of ``check_skew``.  So the label shift of each
     vertex is its ``pi`` modulo ``d``.
     """
-    prop = _propagate(cmap, cmap.group.encode(cmap.group.identity()), 1)
-    if prop is None:
-        return None
-    img, sh = prop
-    return SkewMorphism(cmap, img, np.where(sh == 0, cmap.d, sh))
+    one = np.ones(1, dtype=np.int64)
+    ok, img, sh = _propagate(cmap.group, cmap.omega_idx[None], cmap.iota0[None], one - 1, one)
+    return _propagated_skew(cmap, img[0], sh[0]) if ok[0] else None
+
+
+def regular_orderings(G: Metacyclic, orderings: "Iterable[list[int]]") -> "Iterator[SkewMorphism]":
+    """The skew-morphisms of the regular maps among ``orderings``, in their order.
+
+    All orderings must have one length, and each must pass ``CayleyMap``'s
+    checks.  They propagate together, ``STEP_DARTS // |G|`` rows at a time,
+    and a ``CayleyMap`` is built only for a row that passes.
+    """
+    rows = max(1, STEP_DARTS // G.order)
+    orderings = iter(orderings)
+    while block := list(itertools.islice(orderings, rows)):
+        cycles = np.array(block, dtype=np.int64)
+        R, d = cycles.shape
+        at = np.arange(R)[:, None]
+        pos = np.zeros((R, G.order), dtype=np.int64)
+        pos[at, cycles] = np.arange(d)
+        one = np.ones(R, dtype=np.int64)
+        ok, img, sh = _propagate(G, cycles, pos[at, G.inv_vec(cycles)], one - 1, one)
+        for k in np.flatnonzero(ok):
+            yield _propagated_skew(CayleyMap(G, cycles[k]), img[k].copy(), sh[k])
 
 
 def map_automorphism_count(cmap: CayleyMap) -> int:
     """Number of map automorphisms, counted arc image by arc image.
 
     This is the exhaustive stabilizer-style oracle: the map is regular if
-    and only if the count equals the number of arcs ``|G| * d``.
+    and only if the count equals the number of arcs ``|G| * d``.  Every one
+    of the ``|G| * d`` arc images is propagated, ``STEP_DARTS // |G|`` at a
+    time.
     """
+    G, d = cmap.group, cmap.d
+    arcs = np.arange(G.order * d, dtype=np.int64)
+    rows = max(1, STEP_DARTS // G.order)
     count = 0
-    for v in range(cmap.group.order):
-        for s in range(cmap.d):
-            if _propagate(cmap, v, s) is not None:
-                count += 1
+    for start in range(0, arcs.size, rows):
+        arc = arcs[start : start + rows]
+        shape = (arc.size, d)
+        ok, _, _ = _propagate(
+            G, np.broadcast_to(cmap.omega_idx, shape), np.broadcast_to(cmap.iota0, shape),
+            arc // d, arc % d,
+        )
+        count += int(np.count_nonzero(ok))
     return count
 
 

@@ -22,7 +22,10 @@ production certificates rely on, so the tests can compare the two:
 * ``closed_form_failure`` and ``inverse_condition_failure`` evaluate the
   orbit identities index by index in Python integers, the twisted sums as
   an ``O(d^2)`` double loop, against the prefix sums of
-  ``maps.generator_orbit`` and ``maps.verify_inverse_conditions``.
+  ``maps.generator_orbit`` and ``maps.verify_inverse_conditions``;
+* ``sequential_propagate`` extends one arc image one vertex at a time,
+  comparing image and label shift wherever an arc reaches a known vertex,
+  against the level-synchronous, batched ``maps._propagate``.
 
 The sweep is quadratic in ``|G|`` and the tracing loops in Python over
 every dart; keep them to orders up to ``2^11``.
@@ -236,3 +239,40 @@ def reduction_conditions(cmap: CayleyMap, phi: np.ndarray, t: int) -> "dict[str,
     )
     r3 = image(G.mul(wd, wd)) == G.mul(w1, G.decode(int(cmap.omega_idx[t - 1])))
     return {"coset": coset, "R2": r2, "R3": r3}
+
+
+def sequential_propagate(
+    cmap: CayleyMap, img0: int, shift0: int
+) -> "Optional[tuple[np.ndarray, np.ndarray]]":
+    """Extend the arc assignment ``(1, omega_1) -> (img0, omega_(1+shift0))``
+    one vertex at a time; the vertex images and label shifts, or None at the
+    first inconsistency, an unreached vertex or a repeated image.
+
+    A vertex carries its image and a label shift, and following an arc
+    transports both (the reversed arc pins the shift at the far end).  Where
+    an arc reaches a known vertex both its image and its shift are compared.
+    """
+    G = cmap.group
+    N, d = G.order, cmap.d
+    omega_idx, iota0 = cmap.omega_idx, cmap.iota0
+    arange = np.arange(d)
+    img = np.full(N, -1, dtype=np.int64)
+    sh = np.full(N, -1, dtype=np.int64)
+    img[0], sh[0] = img0, shift0
+    queue = [0]
+    while queue:
+        v = queue.pop()
+        rotated = (arange + sh[v]) % d
+        ws = G.mul_vec(np.int64(v), omega_idx)
+        wis = G.mul_vec(np.int64(img[v]), omega_idx[rotated])
+        deltas = (iota0[rotated] - iota0) % d
+        known = img[ws] >= 0
+        if np.any(img[ws[known]] != wis[known]) or np.any(sh[ws[known]] != deltas[known]):
+            return None
+        fresh = ws[~known]
+        img[fresh] = wis[~known]
+        sh[fresh] = deltas[~known]
+        queue.extend(fresh.tolist())
+    if np.any(img < 0) or np.bincount(img, minlength=N).max() != 1:
+        return None
+    return img, sh

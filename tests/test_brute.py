@@ -1,5 +1,7 @@
 """Tests for the exhaustive enumeration oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from rbcm.brute import (
     prune_predicates,
     subgroup_automorphism_perms,
 )
-from rbcm.groups import Metacyclic, index2_subgroups
+from rbcm.groups import Metacyclic, index2_subgroups, parse_group
 
 Z4 = Metacyclic(4, 1, 1)
 Z8 = Metacyclic(8, 1, 1)
@@ -102,6 +104,50 @@ class TestEnumerate:
         # every map passes the independent arc-count oracle
         for fm in res:
             assert maps.map_automorphism_count(fm.cmap) == L823.order * fm.cmap.d
+
+
+def output_sha256(found) -> str:
+    doc = [fm.to_json_dict() for fm in found]
+    return hashlib.sha256(maps.canonical_json(doc).encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    """The canonical JSON of each enumeration, byte for byte, as pinned
+    before arc propagation was batched and rotations skipped."""
+
+    EXHAUSTIVE_SHA256 = {
+        "L(8,2,3)": "fbb6985d0f8ded623f6180a4067f1e5887a2c235f8eb85aced38f021cc3b31f8",
+        "L(16,2,7)": "a55d05994f4f4baee9f65889b3a2e5bfc4733c8d1ff3685e0ffff7bfaba9de6e",
+    }
+    NAIVE_SHA256 = {
+        "Z8": "c954e6d7f2809cd8f0bb6820601dc83d48cdc98f4700084d4e4cbe044cfeb84f",
+        "Z2xZ4": "40de83f34c880f49e4fee16596940212472a88a99784a2138c9d18bd4b0475d9",
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXHAUSTIVE_SHA256))
+    def test_enumerate_exhaustive(self, name):
+        found = enumerate_rbcm(parse_group(name), exhaustive=True)
+        assert output_sha256(found) == self.EXHAUSTIVE_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(NAIVE_SHA256))
+    def test_naive(self, name):
+        assert output_sha256(naive_enumerate_rbcm(parse_group(name))) == self.NAIVE_SHA256[name]
+
+    def test_reverify_once_per_rotation_class(self, monkeypatch):
+        """``enumerate_rbcm`` on ``L(16,2,7)`` sent 19,392 cycles to
+        ``_reverify`` before rotations were skipped: 7,198 distinct
+        sequences in 918 rotation classes."""
+        calls = []
+        reverify = brute._reverify
+
+        def spy(G, cycle):
+            calls.append(list(cycle))
+            return reverify(G, cycle)
+
+        monkeypatch.setattr(brute, "_reverify", spy)
+        enumerate_rbcm(parse_group("L(16,2,7)"))
+        keys = {tuple(c[c.index(min(c)):] + c[: c.index(min(c))]) for c in calls}
+        assert len(keys) == len(calls) == 918
 
 
 class TestGuided:

@@ -47,6 +47,15 @@ def delta_map_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def bare_map_file(tmp_path_factory):
+    """The map of ``delta_map_file`` without its skew table, so that
+    ``verify`` and ``quotient`` find the skew-morphism by ``is_regular``."""
+    path = tmp_path_factory.mktemp("maps") / "delta734-bare.json"
+    path.write_text(canonical_json(map_to_json_dict(realize(7, 3, 4, 0).cmap)), encoding="utf-8")
+    return path
+
+
 class TestClassifyCommand:
     def test_full_734(self, capsys):
         code, doc, err = run_cli(
@@ -159,7 +168,8 @@ class TestClassifyCommand:
 
 # sha256 of the stdout of ``rbcm ARGV`` and its exit code, for commands whose
 # output must stay byte for byte the same; ``DOC`` stands for the document of
-# ``realize(7, 3, 4, 0)`` that ``delta_map_file`` writes.  Only a change meant
+# ``realize(7, 3, 4, 0)`` that ``delta_map_file`` writes, and ``BARE`` for the
+# same map without its skew table (``bare_map_file``).  Only a change meant
 # to alter an output may regenerate its digest, with
 #   PYTHONPATH=src python -m rbcm.cli ARGV | sha256sum
 PINNED_STDOUT_SHA256 = {
@@ -176,12 +186,18 @@ PINNED_STDOUT_SHA256 = {
     ("quotient", "DOC", "--xi", "a^16"):
         "29505393bdb5a10dea65c16ca60831a1ab84fa53e6197ea3c67e7237d2955cca",
     ("genus", "DOC"): "498310919a0766e204fb5976edc1740821fc4444f1eb3b28d3392cd0c280beb4",
+    ("verify", "BARE"): "6e0aaac50e755ae978105af6c86b51a8cc0ebf9dd789c2c344e4f5419baa3855",
+    ("verify", "BARE", "--quotient", "a^16"):
+        "e4f86e752ac690165529d71383cd5122bde433582332a6dfd1021f60c19de0a8",
+    ("quotient", "BARE", "--xi", "a^16"):
+        "29505393bdb5a10dea65c16ca60831a1ab84fa53e6197ea3c67e7237d2955cca",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED_STDOUT_SHA256), ids=" ".join)
-def test_stdout_is_pinned(capsys, delta_map_file, argv):
-    code = main([str(delta_map_file) if arg == "DOC" else arg for arg in argv])
+def test_stdout_is_pinned(capsys, delta_map_file, bare_map_file, argv):
+    files = {"DOC": str(delta_map_file), "BARE": str(bare_map_file)}
+    code = main([files.get(arg, arg) for arg in argv])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[argv]
