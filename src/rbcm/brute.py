@@ -39,6 +39,8 @@ class SearchBudget:
 
 
 class BudgetExceeded(RuntimeError):
+    """A search hit its budget; ``partial`` holds the maps found so far, up to isomorphism."""
+
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial if partial is not None else []
@@ -221,37 +223,49 @@ def _dedupe(found: "list[FoundMap]", aut_perms: "list[np.ndarray]") -> "list[Fou
     return [seen[k] for k in sorted(seen)]
 
 
-def _reverify(G: Metacyclic, omega_idx: "list[int]") -> "Optional[FoundMap]":
-    """Re-check an encoded candidate cycle from definitions alone; None if any check fails.
+def _reverify(G: Metacyclic, cycles: np.ndarray) -> "list[FoundMap]":
+    """The maps among encoded candidate cycles of one length, in their
+    order, re-checked from definitions alone.
 
-    Inverse closure is tested first, in ``O(d)``, before any map is built.
+    Inverse closure is tested first, in ``O(d)`` per row, then
+    ``CayleyMap``'s other checks (distinct codes, no identity, generation).
+    The rows that pass propagate together (``maps.regular_orderings``), and
+    balance is read off each regular one.
     """
-    if not set(G.inv_vec(np.asarray(omega_idx, dtype=np.int64)).tolist()) <= set(omega_idx):
-        return None
-    try:
-        cmap = CayleyMap(G, omega_idx)
-    except maps.MapError:
-        return None
-    skew = maps.is_regular(cmap)
-    if skew is None:
-        return None
-    bal = maps.balance_data(cmap)
-    if bal is None:
-        return None
-    return FoundMap(cmap, skew, bal)
+    R, d = cycles.shape
+    at = np.arange(R)[:, None]
+    pos = np.full((R, G.order), -1, dtype=np.int64)
+    pos[at, cycles] = np.arange(d)
+    ok = np.all(pos[at, G.inv_vec(cycles)] >= 0, axis=1)
+    # distinct codes (a repeated code keeps only its last position), no identity
+    ok &= np.all(pos[at, cycles] == np.arange(d), axis=1) & np.all(cycles != 0, axis=1)
+    rows = [k for k in np.flatnonzero(ok) if G.generates(cycles[k])]
+    found = []
+    for skew in maps.regular_orderings(G, cycles[rows]):
+        bal = maps.balance_data(skew.cmap)
+        if bal is not None:
+            found.append(FoundMap(skew.cmap, skew, bal))
+    return found
 
 
-def _reverify_once(G: Metacyclic, cycle: "list[int]", seen: "set[tuple]") -> "Optional[FoundMap]":
-    """``_reverify`` on the first rotation of ``cycle`` to arrive; None on a repeat.
+def _reverify_once(
+    G: Metacyclic, cycles: "list[list[int]]", seen: "set[tuple]"
+) -> "list[FoundMap]":
+    """The maps among ``cycles``, each rotation class re-verified once.
 
-    ``seen`` holds each sent cycle rotated to start at its least code.
+    A cycle is skipped if a rotation of it was sent before: ``seen`` holds
+    each sent cycle rotated to start at its least code.  The rest go to
+    ``_reverify`` in one stacked call per length, so the maps come out
+    grouped by valency, in their order within each valency.
     """
-    start = cycle.index(min(cycle))
-    key = tuple(cycle[start:] + cycle[:start])
-    if key in seen:
-        return None
-    seen.add(key)
-    return _reverify(G, cycle)
+    by_length: "dict[int, list[list[int]]]" = {}
+    for cycle in cycles:
+        start = cycle.index(min(cycle))
+        key = tuple(cycle[start:] + cycle[:start])
+        if key not in seen:
+            seen.add(key)
+            by_length.setdefault(len(cycle), []).append(cycle)
+    return [fm for same in by_length.values() for fm in _reverify(G, np.array(same))]
 
 
 # -- structured enumeration over index-2 subgroups -------------------------------
@@ -266,9 +280,10 @@ def enumerate_rbcm(
     map extends to an automorphism).  The ``t > 1`` arm scans triples of an
     index-2 subgroup ``H`` (the kernel-to-be), an automorphism of ``H``, and
     seeds ``omega_d, omega_1`` off ``H``; the skew-morphism is forced to be
-    ``phi(h * omega_d) = phi(h) * omega_1`` on the coset.  With
-    ``exhaustive=True`` every output is also re-certified by the arc-image
-    counting oracle.
+    ``phi(h * omega_d) = phi(h) * omega_1`` on the coset; the orbits of all
+    seed pairs of one automorphism are walked at once (``_coset_orbits``).
+    With ``exhaustive=True`` every output is also re-certified by the
+    arc-image counting oracle.
 
     Both arms send each candidate cycle to ``_reverify`` once up to
     rotation.  A rotation of the cycle re-indexes the same map: same
@@ -277,7 +292,10 @@ def enumerate_rbcm(
     same on every rotation.  The canonical form is the least rotation over
     ``Aut(G)``, so every rotation has the same key, and ``_dedupe`` keeps
     the first map found per key: the one the skip keeps.  The output is
-    therefore unchanged.
+    therefore unchanged.  ``_reverify_once`` checks the cycles of one
+    length in one stacked call and keeps their order; a canonical key is a
+    cycle, so ``_dedupe`` only ever compares maps of one valency, and the
+    output is the one a cycle-by-cycle loop gives.
     """
     _check_order(G, budget, 64)
     start = time.monotonic()
@@ -289,22 +307,9 @@ def enumerate_rbcm(
     # t > 1 arm: kernel subgroup + automorphism + coset seeds
     for H in index2_subgroups(G):
         members = H.member_idx()
-        coset = np.setdiff1d(G.all_idx(), members)
         for hperm in subgroup_automorphism_perms(G, members):
-            _check_time(start, budget, found)
-            for wd in coset:
-                wd_inv = int(G.inv_vec(np.array([wd], dtype=np.int64))[0])
-                shifted = hperm[G.mul_vec(coset, np.int64(wd_inv))]
-                for w1 in coset:
-                    phi = np.empty(G.order, dtype=np.int64)
-                    phi[members] = hperm[members]
-                    phi[coset] = G.mul_vec(shifted, np.int64(w1))
-                    orbit = orbit_walk(phi, int(wd))
-                    if orbit is None:
-                        continue
-                    fm = _reverify_once(G, orbit, seen)
-                    if fm is not None:
-                        found.append(fm)
+            _check_time(start, budget, found, aut_perms)
+            found.extend(_reverify_once(G, _coset_orbits(G, members, hperm), seen))
 
     result = _dedupe(found, aut_perms)
     if exhaustive:
@@ -325,18 +330,44 @@ def _balanced_arm(
     inverse-closed generating cycles of ``aut_perms``, each rotation class
     once (``seen``)."""
     for perm in aut_perms:
-        for orbit in perm_cycles(perm):
-            if 0 in orbit:
-                continue
-            fm = _reverify_once(G, orbit, seen)
-            if fm is not None:
-                found.append(fm)
-        _check_time(start, budget, found)
+        found.extend(_reverify_once(G, [c for c in perm_cycles(perm) if 0 not in c], seen))
+        _check_time(start, budget, found, aut_perms)
 
 
-def _check_time(start: float, budget: SearchBudget, partial) -> None:
+def _coset_orbits(G: Metacyclic, members: np.ndarray, hperm: np.ndarray) -> "list[list[int]]":
+    """The cycle ``(omega_1, .., omega_d)`` of every seed pair ``(omega_d,
+    omega_1)`` off the index-2 subgroup ``H`` (``members``), in that order.
+
+    The pair fixes ``phi``: ``hperm`` on ``H`` and ``phi(h omega_d) =
+    hperm(h) omega_1`` on the coset.  One gather builds every pair's
+    ``phi``, and the orbits of ``omega_d`` advance in lockstep for up to
+    ``|G|`` steps; the first return to ``omega_d`` fixes ``d``, and a pair
+    whose orbit does not return gives no cycle.
+    """
+    coset = np.setdiff1d(G.all_idx(), members)
+    C, N = coset.size, G.order
+    phi = np.empty((C * C, N), dtype=np.int64)  # row i C + j: (omega_d, omega_1) = coset[i, j]
+    phi[:, members] = hperm[members]
+    shifted = hperm[G.mul_vec(coset[None, :], G.inv_vec(coset)[:, None])]
+    phi[:, coset] = G.mul_vec(shifted[:, None, :], coset[None, :, None]).reshape(C * C, C)
+    seeds = np.repeat(coset, C)
+    rows = np.arange(C * C)
+    walk = np.empty((C * C, N), dtype=np.int64)
+    d = np.zeros(C * C, dtype=np.int64)
+    cur = seeds
+    for step in range(N):
+        cur = walk[:, step] = phi[rows, cur]
+        d[(cur == seeds) & (d == 0)] = step + 1
+        if d.all():
+            break
+    walks = walk[:, : step + 1].tolist()
+    return [walks[k][: d[k]] for k in np.flatnonzero(d)]
+
+
+def _check_time(start: float, budget: SearchBudget, partial, aut_perms) -> None:
+    """Raise ``BudgetExceeded`` past the time limit, with ``partial`` deduplicated."""
     if budget.time_limit_s is not None and time.monotonic() - start > budget.time_limit_s:
-        raise BudgetExceeded("time limit exceeded", partial)
+        raise BudgetExceeded("time limit exceeded", _dedupe(partial, aut_perms))
 
 
 # -- naive definitional enumeration ----------------------------------------------
@@ -363,6 +394,7 @@ def naive_enumerate_rbcm(
     involutions = codes[inverses == codes].tolist()
     pairs = [(g, gi) for g, gi in zip(codes.tolist(), inverses.tolist()) if g < gi]
 
+    aut_perms = automorphism_perms(G, SearchBudget(max_order=max(64, G.order)))
     found: "list[FoundMap]" = []
     for inv_mask in range(1 << len(involutions)):
         chosen_inv = [g for i, g in enumerate(involutions) if inv_mask >> i & 1]
@@ -371,7 +403,7 @@ def naive_enumerate_rbcm(
             omega_set = chosen_inv + [g for p in chosen_pairs for g in p]
             if not omega_set or not G.generates(omega_set):
                 continue
-            _check_time(start, budget, found)
+            _check_time(start, budget, found, aut_perms)
             orderings = _balanced_orderings(
                 chosen_inv, chosen_pairs, len(omega_set), min(omega_set)
             )
@@ -380,7 +412,6 @@ def naive_enumerate_rbcm(
                 if bal is not None:
                     found.append(FoundMap(skew.cmap, skew, bal))
 
-    aut_perms = automorphism_perms(G, SearchBudget(max_order=max(64, G.order)))
     result = _dedupe(found, aut_perms)
     for fm in result:
         count = maps.map_automorphism_count(fm.cmap)
@@ -541,7 +572,7 @@ def guided_search_delta(
     valid_ts: "dict[int, list[int]]" = {}
 
     for phi_plus in cands:
-        _check_time(start, budget, found)
+        _check_time(start, budget, found, aut_perms)
         sub_perm = autos.as_perm(phi_plus)
         ord_plus = perm_order(sub_perm)
         phi_on_even = np.full(N, -1, dtype=np.int64)
@@ -634,9 +665,7 @@ def guided_search_delta(
                 pi = maps.power_function_probe(cmap, phi)
                 if not set(np.unique(pi).tolist()) <= {1, t0 % d or d}:
                     continue
-                fm = _reverify_once(G, orbit, seen)
-                if fm is not None:
-                    found.append(fm)
+                found.extend(_reverify_once(G, [orbit], seen))
 
     result = _dedupe(found, aut_perms)
     return GuidedResult(result, True, stats)

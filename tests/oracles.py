@@ -25,7 +25,10 @@ production certificates rely on, so the tests can compare the two:
   ``maps.generator_orbit`` and ``maps.verify_inverse_conditions``;
 * ``sequential_propagate`` extends one arc image one vertex at a time,
   comparing image and label shift wherever an arc reaches a known vertex,
-  against the level-synchronous, batched ``maps._propagate``.
+  against the level-synchronous, batched ``maps._propagate``;
+* ``sequential_coset_arm`` builds one ``phi`` and walks one orbit per seed
+  pair of the ``t > 1`` arm of ``brute.enumerate_rbcm``, against the
+  lockstep walk over all seed pairs at once, ``brute._coset_orbits``.
 
 The sweep is quadratic in ``|G|`` and the tracing loops in Python over
 every dart; keep them to orders up to ``2^11``.
@@ -37,7 +40,7 @@ import numpy as np
 
 from rbcm.autos import AutoParams, tilde_exponents, validate
 from rbcm.groups import Metacyclic
-from rbcm.maps import BalanceData, CayleyMap
+from rbcm.maps import BalanceData, CayleyMap, orbit_walk
 from rbcm.twoadic import deg2
 
 
@@ -276,3 +279,28 @@ def sequential_propagate(
     if np.any(img < 0) or np.bincount(img, minlength=N).max() != 1:
         return None
     return img, sh
+
+
+def sequential_coset_arm(
+    G: Metacyclic, members: np.ndarray, hperm: np.ndarray
+) -> "list[list[int]]":
+    """The orbit of ``omega_d`` under the ``phi`` of each seed pair
+    ``(omega_d, omega_1)`` off the index-2 subgroup ``members``, in that
+    order, one pair at a time; a pair whose orbit does not return gives none.
+
+    ``phi`` is ``hperm`` on the subgroup and ``phi(h omega_d) = hperm(h)
+    omega_1`` on the coset.
+    """
+    coset = np.setdiff1d(G.all_idx(), members)
+    out = []
+    for wd in coset:
+        wd_inv = int(G.inv_vec(np.array([wd], dtype=np.int64))[0])
+        shifted = hperm[G.mul_vec(coset, np.int64(wd_inv))]
+        for w1 in coset:
+            phi = np.empty(G.order, dtype=np.int64)
+            phi[members] = hperm[members]
+            phi[coset] = G.mul_vec(shifted, np.int64(w1))
+            orbit = orbit_walk(phi, int(wd))
+            if orbit is not None:
+                out.append(orbit)
+    return out

@@ -1,10 +1,13 @@
 """Tests for the exhaustive enumeration oracles."""
 
 import hashlib
+import itertools
+import types
 
 import numpy as np
 import pytest
 
+import oracles
 from rbcm import autos, brute, maps
 from rbcm.brute import (
     BudgetExceeded,
@@ -98,6 +101,40 @@ class TestEnumerate:
     def test_naive_agreement_fast_groups(self, G):
         assert canon_keys(G, enumerate_rbcm(G)) == canon_keys(G, naive_enumerate_rbcm(G))
 
+    @pytest.mark.parametrize("name", ["L(8,2,3)", "L(16,2,9)", "Z8", "Z2xZ4", "L(6,2,5)"])
+    def test_coset_arm_matches_sequential_oracle(self, name, monkeypatch):
+        """The lockstep walk gives every ``(H, hperm)`` pair's cycles in the
+        order of the one-pair-at-a-time loop.  ``L(6,2,5)`` is not a
+        2-group, so its maps are certified generating by ``closure_idx``."""
+        G = parse_group(name)
+        calls = []
+        coset_orbits = brute._coset_orbits
+
+        def spy(G, members, hperm):
+            calls.append((members, hperm, coset_orbits(G, members, hperm)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(brute, "_coset_orbits", spy)
+        enumerate_rbcm(G)
+        assert len(calls) == sum(
+            len(subgroup_automorphism_perms(G, H.member_idx())) for H in index2_subgroups(G)
+        )
+        for members, hperm, orbits in calls:
+            assert orbits == oracles.sequential_coset_arm(G, members, hperm)
+
+    def test_partial_result_is_deduplicated(self, monkeypatch):
+        """A tripped time limit reports its maps up to isomorphism, like a
+        complete run.  The clock ticks once per read, so the budget trips at
+        the 101st ``_check_time``; 64 maps in 4 classes were found by then."""
+        ticks = itertools.count()
+        clock = types.SimpleNamespace(monotonic=lambda: float(next(ticks)))
+        monkeypatch.setattr(brute, "time", clock)
+        G = parse_group("L(16,2,7)")
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_rbcm(G, SearchBudget(time_limit_s=100.5))
+        keys = canon_keys(G, exc.value.partial)
+        assert len(set(keys)) == len(keys) == 4
+
     def test_self_consistency_L823(self):
         res = enumerate_rbcm(L823)
         assert len(res) == 5
@@ -117,6 +154,7 @@ class TestPinnedOutput:
 
     EXHAUSTIVE_SHA256 = {
         "L(8,2,3)": "fbb6985d0f8ded623f6180a4067f1e5887a2c235f8eb85aced38f021cc3b31f8",
+        "L(16,2,9)": "62abc426fa9b096017205dcbf1022a8d32baee4074303efd8856ae9074d4daa2",
         "L(16,2,7)": "a55d05994f4f4baee9f65889b3a2e5bfc4733c8d1ff3685e0ffff7bfaba9de6e",
     }
     NAIVE_SHA256 = {
@@ -136,18 +174,19 @@ class TestPinnedOutput:
     def test_reverify_once_per_rotation_class(self, monkeypatch):
         """``enumerate_rbcm`` on ``L(16,2,7)`` sent 19,392 cycles to
         ``_reverify`` before rotations were skipped: 7,198 distinct
-        sequences in 918 rotation classes."""
-        calls = []
+        sequences in 918 rotation classes.  Each class is now one row of
+        one stacked call."""
+        rows = []
         reverify = brute._reverify
 
-        def spy(G, cycle):
-            calls.append(list(cycle))
-            return reverify(G, cycle)
+        def spy(G, cycles):
+            rows.extend(cycles.tolist())
+            return reverify(G, cycles)
 
         monkeypatch.setattr(brute, "_reverify", spy)
         enumerate_rbcm(parse_group("L(16,2,7)"))
-        keys = {tuple(c[c.index(min(c)):] + c[: c.index(min(c))]) for c in calls}
-        assert len(keys) == len(calls) == 918
+        keys = {tuple(c[c.index(min(c)):] + c[: c.index(min(c))]) for c in rows}
+        assert len(keys) == len(rows) == 918
 
 
 class TestGuided:
@@ -180,3 +219,24 @@ class TestGuided:
         res = brute.guided_search_delta(5, 3, 2)
         assert res.found == [] and res.exhausted
         assert res.stats["kernel_candidates"] == 0
+
+    def test_kernel_candidate_loop_on_one_candidate(self, monkeypatch):
+        """``D(7,3,4)`` with ``Aut(<a^2, b>)`` cut to its first candidate that
+        passes ``prune_predicates``: the loop scans its seed pairs and finds
+        one map, isomorphic to the engine's class ``z1 = 0``."""
+        from rbcm.classify import realize
+        from rbcm.groups import DeltaParams, plus_presentation
+
+        sub = plus_presentation(DeltaParams(7, 3, 4).group()).group
+        aut_group = autos.aut_group
+        first = next(p for p in aut_group(sub) if all(prune_predicates(7, 3, 4, p).values()))
+        monkeypatch.setattr(autos, "aut_group", lambda g: [first] if g == sub else aut_group(g))
+        res = brute.guided_search_delta(7, 3, 4)
+        assert res.stats == {"kernel_candidates": 1, "pairs_scanned": 10607, "pairs_surviving": 64}
+        assert output_sha256(res.found) == (
+            "34de996873ae333d6789a619040a2bdbc5e88172da7b1b33beb8a24d1200d7c6"
+        )
+        (fm,) = res.found
+        hits = [z1 for z1 in range(4)
+                if maps.are_isomorphic(fm.cmap, realize(7, 3, 4, z1, full=False).cmap) is not None]
+        assert hits == [0]
