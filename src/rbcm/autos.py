@@ -13,10 +13,11 @@ i.e. ``a -> a^x1 b^y1`` and ``b -> a^x2 b^y2``, subject to
 
 Parameters are stored generator-wise: the first pair is the image of ``a``,
 the second the image of ``b``.  ``aut_group`` holds the whole family as four
-int64 arrays (``AutGroup``).  One vectorised image formula, on the cached
-geometric-sum table of ``groups.geom_table``, serves both ``as_perm`` (one
+int64 arrays (``AutGroup``).  One image formula serves ``as_perm`` (one
 automorphism on every element) and ``AutGroup.images`` (one element under
-every automorphism); ``apply`` is the scalar reference.  Composition,
+every automorphism), on the cached geometric-sum table of
+``groups.geom_table``, and ``image`` (one element, with ``geom_sum_mod``
+and no table); ``apply`` is the scalar reference.  Composition,
 inversion, restriction to the index-2 subgroup ``<a^2, b>`` and conjugation
 into the normal form ``sigma(z,1;0,w)`` all live here.
 """
@@ -150,16 +151,32 @@ def as_perm(params: AutoParams) -> np.ndarray:
     return _images(G, params.x1, params.y1, params.x2, params.y2, idx // G.m, idx % G.m)
 
 
-def _images(G: Metacyclic, x1, y1, x2, y2, u, v) -> np.ndarray:
+def image(params: AutoParams, code: int) -> int:
+    """Encoded image of one encoded element, with no ``|G|``-sized table.
+
+    ``_images`` with ``geom_sum_mod`` in place of ``geom_table``: ``O(log n)``
+    integer steps.  ``params`` must pass ``validate``.
+    """
+    G = params.group
+    u, v = divmod(int(code), G.m)
+    geom = lambda y, k: geom_sum_mod(G.rpow(y), k, G.n)
+    return _images(G, params.x1, params.y1, params.x2, params.y2, u, v, geom)
+
+
+def _images(G: Metacyclic, x1, y1, x2, y2, u, v, geom=None):
     """Encoded image of ``a^u b^v`` under ``sigma(x1,y1;x2,y2)``, broadcasting over arrays.
 
-    It leaves out ``apply``'s factor ``r^(y1 u)`` on ``x2``, which is 1 on
-    every valid tuple: ``deg2(r^k - 1) = deg2(k) + ct`` and the constraints
-    give ``deg2(y1) + deg2(x2) + ct >= at``.
+    ``geom(y, u)`` is ``[u]_(r^y) mod n``, read from the cached
+    ``geom_table`` unless ``image`` passes ``geom_sum_mod``.  It leaves out
+    ``apply``'s factor ``r^(y1 u)`` on ``x2``, which is 1 on every valid
+    tuple: ``deg2(r^k - 1) = deg2(k) + ct`` and the constraints give
+    ``deg2(y1) + deg2(x2) + ct >= at``.
     """
     n, m = G.n, G.m
-    table = geom_table(G)
-    x = (x1 * table[y1, u] + x2 * table[y2, v % n]) % n
+    if geom is None:
+        table = geom_table(G)
+        geom = lambda y, k: table[y, k]
+    x = (x1 * geom(y1, u) + x2 * geom(y2, v % n)) % n
     return x * m + (y1 * u + y2 * v) % m
 
 

@@ -24,6 +24,12 @@ There ``l' = 0``, so (C1) reads ``v1 = -2`` and (C2) reads
 together they say ``omega_1 = omega_d^-1``, which is ``iota(d) = 1``.  The
 offset read back off the built map is therefore ``l = 1`` again; ``realize``
 checks that, and (C1)-(C4) are re-checked with the ``(t, l)`` it reads.
+
+The skew-morphism stays in that rule form, ``theta`` on ``<a^2, b>`` and
+``h omega_d -> theta(h) omega_1`` off it.  ``realize`` walks the generator
+cycle and proves the skew law from the rule (``maps.check_skew_by_rule``)
+in ``O(d)`` evaluations of ``phi``; a ``|G|``-sized table is built only
+where one is read: the full level's orbit identities and quotient profile.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -119,11 +126,15 @@ class ClassificationSolution:
 
 @dataclass
 class RealizedRbcm:
-    """A fully verified map together with its classification residues."""
+    """A fully verified map together with its classification residues.
+
+    ``rule`` is the certified skew-morphism in rule form; ``skew`` holds it
+    as ``|G|``-sized ``phi`` and ``pi`` tables, built on first access.
+    """
 
     solution: ClassificationSolution
     cmap: CayleyMap
-    skew: SkewMorphism
+    rule: maps.CosetRule
     balance: BalanceData
     orbit: "Optional[maps.GeneratorOrbit]"
     embedding: "Optional[maps.EmbeddingData]"
@@ -132,6 +143,16 @@ class RealizedRbcm:
     @property
     def verified(self) -> bool:
         return all(self.checks.values())
+
+    @cached_property
+    def skew(self) -> SkewMorphism:
+        """``phi`` from ``_build_phi``, and ``pi``: 1 on ``<a^2, b>``, ``t`` off it."""
+        G, omega = self.cmap.group, self.cmap.omega_idx
+        phi = _build_phi(self.rule)
+        if not np.array_equal(phi[omega], np.roll(omega, -1)):
+            raise InternalInconsistency("the phi table disagrees with the rule on Omega")
+        pi = np.where(G.all_idx() // G.m % 2 == 0, 1, self.solution.t)
+        return SkewMorphism(self.cmap, phi, pi)
 
 
 def _residues_for(a: int, b: int, c: int, z: int) -> "tuple[int, int, int]":
@@ -175,10 +196,8 @@ def _verify_conditions(
         raise InternalInconsistency("valuation bound deg2(t+1) >= b+1 fails")
 
 
-def _build_phi(
-    G: Metacyclic, z: int, w: int, u_tilde: int, u1: int, v1: int
-) -> "tuple[np.ndarray, int]":
-    """The candidate skew-morphism as a permutation array, and the encoded ``omega_d``.
+def _coset_rule(G: Metacyclic, z: int, w: int, u_tilde: int, u1: int, v1: int) -> maps.CosetRule:
+    """The candidate skew-morphism of the residues, in rule form.
 
     On ``K = <a^2, b>`` it is ``theta = sigma(z,1;0,w)``: ``a^2 -> a^(2z) b``,
     ``b -> b^w``, validated and evaluated by ``autos`` on the standalone
@@ -187,17 +206,23 @@ def _build_phi(
     ``omega_1 = a^(2 u1) b^(v1) * omega_d``.
     """
     pres = plus_presentation(G)
+    omega_d = G.code(u_tilde, 1)
+    omega_1 = int(G.mul_vec(G.code(2 * u1, v1), omega_d))
     try:
-        theta = autos.as_perm(autos.normal_form_params(pres.group, z, w))
+        return maps.CosetRule(pres, autos.normal_form_params(pres.group, z, w), omega_d, omega_1)
     except autos.AutomorphismError as exc:
         raise InternalInconsistency(f"theta is not an automorphism: {exc}") from exc
+
+
+def _build_phi(rule: maps.CosetRule) -> np.ndarray:
+    """The rule's ``phi`` as a ``|G|``-sized table, for the callers that read
+    one: the orbit identities, the quotient profile, a map document."""
+    pres, G = rule.pres, rule.pres.parent
     kernel = pres.include_vec(pres.group.all_idx())
-    omega_d = G.code(u_tilde, 1)
-    omega_1 = G.mul_vec(pres.include_vec(np.int64(pres.group.code(u1, v1))), np.int64(omega_d))
     phi = np.empty(G.order, dtype=np.int64)
-    phi[kernel] = pres.include_vec(theta)
-    phi[G.mul_vec(kernel, np.int64(omega_d))] = G.mul_vec(phi[kernel], omega_1)
-    return phi, omega_d
+    phi[kernel] = pres.include_vec(autos.as_perm(rule.theta))
+    phi[G.mul_vec(kernel, np.int64(rule.omega_d))] = G.mul_vec(phi[kernel], np.int64(rule.omega_1))
+    return phi
 
 
 def realize(
@@ -209,26 +234,34 @@ def realize(
     to realize classes outside the canonical ``z1`` range, e.g. when testing
     that ``z`` and ``z + 2^(a-2)`` give isomorphic maps.
 
-    Both levels run the closed-form residues, one build of the map (whose
-    offset must read back as ``ell = 1``), the congruence checks and the
-    reduction certificate ``maps.check_skew_by_reduction``, which proves the
-    skew law on all ``|G|^2`` pairs from its restriction to ``<a^2, b>`` in
-    ``O(|G|)``.  Every generation proof is the closed-form parity span of
-    ``Metacyclic.generates`` (Burnside basis theorem); no closure is computed.
-    ``checks`` names each check that ran: a failed one raises
-    ``VerificationError`` naming its key (``InternalInconsistency`` for an
-    engine identity), so every value is ``True``.  Each key is proved by:
+    Both levels run the closed-form residues, the map's cycle walked by
+    the rule form of ``phi`` (``_coset_rule``; its offset must read back as
+    ``ell = 1``), the congruence checks and the rule certificate
+    ``maps.check_skew_by_rule``, which proves the skew law on all
+    ``|G|^2`` pairs from the restriction to ``<a^2, b>`` in ``O(d)`` rule
+    evaluations.  No ``|G|``-sized ``phi`` or ``pi`` table is built: ``skew``
+    materializes one on first access, which the full level makes for the
+    orbit identities and the quotient profile.  Every generation proof is
+    the closed-form parity span of ``Metacyclic.generates`` (Burnside basis
+    theorem); no closure is computed.  ``checks`` names each check that
+    ran: a failed one raises ``VerificationError`` naming its key
+    (``InternalInconsistency`` for an engine identity), so every value is
+    ``True``.  Each key is proved by:
 
-    * ``skew_law_all_pairs``: the reduction certificate;
-    * ``phi_restriction_is_automorphism``: the certificate's (R1);
-    * ``pi_on_generators_is_t``: ``pi(omega_d) = t``; the certificate's ``pi``
-      is ``pi(omega_d)`` off ``<a^2, b>``, where (R1) keeps every ``omega_i``;
-    * ``kernel_is_a2_b``: the certificate's ``pi = 1`` on ``<a^2, b>``, ``t != 1`` by (C4);
+    * ``skew_law_all_pairs``: the rule certificate;
+    * ``phi_restriction_is_automorphism``: (R1), ``autos.validate`` of
+      ``theta = sigma(z,1;0,w)`` when the rule is built;
+    * ``pi_on_generators_is_t``: the certificate's ``t = pi(omega_d)``, read
+      by the law at ``(omega_d, omega_1)``, is the balance ``t``; ``pi`` is
+      ``pi(omega_d)`` off ``<a^2, b>``, where (R1) keeps every ``omega_i``;
+    * ``kernel_is_a2_b``: ``pi = 1`` on ``<a^2, b>`` by (R1) and the coset
+      rule, ``t != 1`` by (C4);
     * ``pi_two_valued``: the certificate's ``pi``, 1 on ``<a^2, b>`` and ``t`` off it;
     * ``balanced``: ``maps.balance_data``, read back with ``ell = 1``;
     * ``deg2_t_plus_1``: (C4) and ``deg2(t+1) >= b+1`` in ``_verify_conditions``;
     * ``type_I_normalized``: type I with ``ell = gcd(t-1, d) / 2``;
-    * ``plus_part_is_normal_form``: ``phi(a^2) = a^(2z) b`` and ``phi(b) = b^w``;
+    * ``plus_part_is_normal_form``: ``phi(a^2) = a^(2z) b`` and ``phi(b) = b^w``,
+      evaluated by the rule;
     * ``inverse_conditions`` (full only): ``maps.verify_inverse_conditions``;
     * ``kernel_generated_by_etas`` (full only): ``_generates_a2_b`` on the ``eta_i``;
     * ``kernel_is_even_products`` (full only): ``_generates_a2_b`` on ``_even_products``.
@@ -254,11 +287,8 @@ def realize(
     G = DeltaParams(a, b, c).group()
 
     u_tilde, u1, v1 = _residues_for(a, b, c, z)
-    phi, omega_d = _build_phi(G, z, w, u_tilde, u1, v1)
-    orbit_idx = maps.orbit_walk(phi, omega_d)
-    if orbit_idx is None:
-        raise InternalInconsistency("orbit failed to close")
-    cmap = CayleyMap(G, orbit_idx)
+    rule = _coset_rule(G, z, w, u_tilde, u1, v1)
+    cmap = CayleyMap(G, rule.cycle)
     bal = maps.balance_data(cmap)
     if bal is None or bal.ell != 1:
         raise InternalInconsistency(f"constructed map is not t-balanced with ell = 1: {bal}")
@@ -267,28 +297,28 @@ def realize(
     _verify_conditions(a, b, c, z, w, ell, t, u_tilde, u1, v1)
     solution = ClassificationSolution(a, b, c, z1, z, w, u_tilde, u1, v1, t, d, ell)
 
-    res = maps.check_skew_by_reduction(cmap, phi)
-    if not isinstance(res, SkewMorphism):
+    res = maps.check_skew_by_rule(cmap, rule)
+    if isinstance(res, maps.SkewFailure):
         raise VerificationError(f"skew law fails at ({res.eta}, {res.mu}): {res.detail}")
-    skew = res
     ran = [
         "skew_law_all_pairs", "phi_restriction_is_automorphism", "kernel_is_a2_b",
         "pi_two_valued", "balanced", "deg2_t_plus_1",  # proved above: see the docstring
-        _require(int(skew.pi[omega_d]) == t, "pi_on_generators_is_t"),
+        _require(res == t, "pi_on_generators_is_t"),
         _require(bal.map_type == "I" and ell == np.gcd(t - 1, d) // 2, "type_I_normalized"),
-        _require(_plus_part_matches(G, phi, z, w), "plus_part_is_normal_form"),
+        _require(_plus_part_matches(G, rule, z, w), "plus_part_is_normal_form"),
     ]
-    orbit = emb = None
+    realized = RealizedRbcm(solution, cmap, rule, bal, None, None, {})
     if full:
-        orbit = maps.generator_orbit(cmap, skew, bal)
+        orbit = realized.orbit = maps.generator_orbit(cmap, realized.skew, bal)
         maps.verify_inverse_conditions(cmap, orbit, bal, u_tilde)
         ran += [
             "inverse_conditions",
             _require(_generates_a2_b(G, orbit.eta), "kernel_generated_by_etas"),
             _require(_generates_a2_b(G, _even_products(G, cmap)), "kernel_is_even_products"),
         ]
-        emb = maps.genus(cmap)
-    return RealizedRbcm(solution, cmap, skew, bal, orbit, emb, dict.fromkeys(ran, True))
+        realized.embedding = maps.genus(cmap)
+    realized.checks = dict.fromkeys(ran, True)
+    return realized
 
 
 def _require(ok: bool, key: str) -> str:
@@ -298,9 +328,9 @@ def _require(ok: bool, key: str) -> str:
     return key
 
 
-def _plus_part_matches(G: Metacyclic, phi: np.ndarray, z: int, w: int) -> bool:
+def _plus_part_matches(G: Metacyclic, rule: maps.CosetRule, z: int, w: int) -> bool:
     """``phi(a^2) = a^(2z) b`` and ``phi(b) = b^w``."""
-    return int(phi[G.code(2, 0)]) == G.code(2 * z, 1) and int(phi[G.code(0, 1)]) == G.code(0, w)
+    return rule(G.code(2, 0)) == G.code(2 * z, 1) and rule(G.code(0, 1)) == G.code(0, w)
 
 
 def _generates_a2_b(G: Metacyclic, gens: "list[int] | np.ndarray") -> bool:
@@ -420,9 +450,10 @@ def classify(
 ) -> ClassifyOutcome:
     """Solve, optionally fully verify, and certify distinctness.
 
-    ``verify_level`` is ``"fast"`` (residues, one build per class, congruence
-    checks and the reduction certificate, which proves the skew law on all
-    pairs in ``O(|G|)``) or ``"full"`` (adds the orbit identities, the
+    ``verify_level`` is ``"fast"`` (residues, one cycle walked by the rule
+    form of ``phi`` per class, congruence checks and the rule certificate,
+    which proves the skew law on all pairs in ``O(d)`` rule evaluations,
+    with no ``|G|``-sized table) or ``"full"`` (adds the orbit identities, the
     kernel generation checks, genus, the quotient profile and pairwise
     non-isomorphism).  Generation is certified in closed form at both
     levels (see ``realize``); only the quotient profile computes a closure.

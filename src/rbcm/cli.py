@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import brute, maps
+from . import maps
 from .classify import InternalInconsistency, check_necessary, default_workers
 from .classify import classify as run_classify
 from .groups import (
@@ -103,6 +103,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_bruteforce(args: argparse.Namespace) -> int:
+    from . import brute  # the oracle module; no other command loads it
+
     budget = brute.SearchBudget(
         max_order=args.max_order,
         time_limit_s=args.time_limit,

@@ -489,7 +489,7 @@ class IndexTwoPresentation:
         its inverse on the image."""
         H = self.group
         idx = H.all_idx()
-        if np.unique(self.include_vec(idx)).size != H.order:
+        if np.any(np.diff(np.sort(self.include_vec(idx))) == 0):
             raise GroupError("inclusion is not injective")
         if not np.array_equal(self.retract_vec(self.include_vec(idx)), idx):
             raise GroupError("retraction does not invert the inclusion")

@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -29,6 +30,7 @@ import numpy as np
 from . import autos
 from .groups import (
     GroupElement,
+    IndexTwoPresentation,
     Metacyclic,
     PowerSubgroup,
     QuotientPresentation,
@@ -110,8 +112,8 @@ class SkewFailure:
 class SkewMorphism:
     """A verified skew-morphism: permutation ``phi`` plus power function ``pi``."""
 
-    #: every certificate proves the law on all pairs: the reduction to
-    #: ``<a^2, b>`` of ``check_skew_by_reduction`` (the one ``realize`` runs),
+    #: every certificate proves the law on all pairs: the rule-form reduction
+    #: to ``<a^2, b>`` of ``check_skew_by_rule`` (the one ``realize`` runs),
     #: the darts of ``check_skew`` and the arc propagation of ``is_regular``
     pair_mode = "exhaustive"
 
@@ -218,100 +220,114 @@ def _probe_failure(cmap: CayleyMap, eta: int, detail: str) -> SkewFailure:
     return SkewFailure(cmap.group.decode(eta), cmap.group.decode(int(cmap.omega_idx[0])), detail)
 
 
-def check_skew_by_reduction(cmap: CayleyMap, phi: np.ndarray) -> "SkewMorphism | SkewFailure":
-    """Verify a candidate ``phi`` by the reduction to the index-2 kernel ``K = <a^2, b>``.
+@dataclass(frozen=True)
+class CosetRule:
+    """A candidate skew-morphism of ``G = L(n, m; r)``, ``n`` even, in rule form.
 
-    ``check_skew``'s contract, on ``L(n, m; r)`` with even ``n``; ``K`` is
-    the elements with even ``x``.  Write ``omega_d = omega_0`` and
-    ``theta = phi|K``.  After ``check_skew``'s table checks it checks, in
-    ``O(|G|)`` array work and ``t`` table steps (the darts take ``O(|G| d)``):
+    On ``K = <a^2, b>`` it is ``theta``, an automorphism of the standalone
+    ``pres.group`` carried into ``G`` by the inclusion; on the other coset
+    it sends ``h omega_d`` to ``theta(h) omega_1``.  Each value is evaluated
+    from the rule by ``autos.image`` in ``O(log n)`` integer steps, so the
+    rule holds no ``|G|``-sized table.  The constructor checks (R1),
+    ``autos.validate`` of ``theta`` (``AutomorphismError``), and that
+    ``omega_d`` and ``omega_1`` lie off ``K`` (``MapError``).  So ``phi``
+    fixes the identity and is a bijection: ``theta`` permutes ``K``, and
+    ``h omega_d -> theta(h) omega_1`` carries the other coset onto itself.
+    """
 
-    * pi: the ``omega_1`` probe reads 1 on ``K`` and ``t = pi(omega_d)`` off it;
-    * (R1) ``theta`` is an automorphism of ``K`` (``restriction_failure``);
-    * (R2) ``phi(omega_d s omega_d^-1) = omega_1 phi^t(s) omega_1^-1`` for
-      ``s`` in ``{a^2, b}``.
+    pres: IndexTwoPresentation
+    theta: autos.AutoParams
+    omega_d: int
+    omega_1: int
+
+    def __post_init__(self) -> None:
+        report = autos.validate(self.theta)
+        if not report:
+            raise autos.AutomorphismError(
+                f"{self.theta} is not an automorphism: {'; '.join(report.violations)}"
+            )
+        m = self.pres.parent.m
+        if self.omega_d // m % 2 == 0 or self.omega_1 // m % 2 == 0:
+            raise MapError("omega_d and omega_1 must lie off <a^2, b>")
+
+    def __call__(self, g: int) -> int:
+        """``phi(g)`` for the code ``g``."""
+        G = self.pres.parent
+        if g // G.m % 2 == 0:
+            return self._theta(g)
+        return int(G.mul_vec(self._theta(int(G.mul_vec(g, self._omega_d_inv))), self.omega_1))
+
+    def _theta(self, h: int) -> int:
+        m = self.pres.parent.m
+        return int(self.pres.include_vec(autos.image(self.theta, h // m // 2 * m + h % m)))
+
+    @cached_property
+    def _omega_d_inv(self) -> int:
+        return int(self.pres.parent.inv_vec(self.omega_d))
+
+    @cached_property
+    def cycle(self) -> "list[int]":
+        """``(omega_1, ..., omega_d)``, the orbit of ``omega_d`` walked by the rule.
+
+        ``phi`` is a bijection, so the walk returns to ``omega_d``.
+        """
+        out = [self.omega_1]
+        while out[-1] != self.omega_d:
+            out.append(self(out[-1]))
+        return out
+
+
+def check_skew_by_rule(cmap: CayleyMap, rule: CosetRule) -> "int | SkewFailure":
+    """Verify a rule-form ``phi`` on all ``|G|^2`` pairs in ``O(d)`` rule evaluations.
+
+    ``cmap`` must be the map of ``rule.cycle`` (``MapError`` otherwise), so
+    ``Omega`` is the orbit of ``omega_d`` and ``phi`` restricts to ``rho``
+    on it.  Returns ``t = pi(omega_d)``, with ``pi`` 1 on ``K = <a^2, b>``
+    and ``t`` off it, or the failure.  What ``check_skew``'s table checks
+    and the ``omega_1`` probe establish on a table holds here by
+    construction (``CosetRule``): ``phi`` fixes the identity and is a
+    bijection, (R1) ``theta`` is an automorphism of ``K``, and the coset
+    rule ``phi(h omega_d) = theta(h) omega_1`` gives ``pi = 1`` on ``K``.
+    With ``omega_d = omega_0``:
+
+    * ``t = pi(omega_d)``: ``omega_d omega_1`` lies in ``K``, so the law at
+      ``(omega_d, omega_1)`` reads ``theta(omega_d omega_1) = omega_1
+      omega_(t+1)``, which pins ``t`` as a position on the cycle.  The
+      position exists: with ``omega_1^-1 = omega_p``, the rule at
+      ``omega_p`` and (R1) give ``theta(omega_d omega_1) = omega_1
+      omega_(p+1)^-1``, and ``Omega`` is closed under inverses;
+    * it checks (R2) ``theta(omega_d s omega_d^-1) = omega_1 theta^t(s)
+      omega_1^-1`` for ``s`` in ``{a^2, b}``, by ``t`` steps of ``theta``.
 
     These prove the law on all pairs with that ``pi``.  By (R1) every
-    ``omega_i = phi^i(omega_d)`` lies off ``K``, so ``h1 = omega_1 omega_d^-1``
-    lies in ``K``.  ``pi = 1`` at ``h h1^-1`` and at ``h1^-1`` gives the coset
-    rule ``phi(h omega_d) = theta(h) omega_1``; with (R1) that is the law for
-    ``eta`` in ``K``, and ``phi^k(h omega_d) = theta^k(h) omega_k``.  For
-    ``eta = g omega_d`` and ``mu`` in ``K`` the law is
+    ``omega_i = phi^i(omega_d)`` lies off ``K``, and ``pi = 1`` on ``K``
+    is (R1) with the coset rule; so ``phi^k(h omega_d) = theta^k(h)
+    omega_k``.  For ``eta = g omega_d`` and ``mu`` in ``K`` the law is
     ``theta(omega_d mu omega_d^-1) = omega_1 theta^t(mu) omega_1^-1``: two
     homomorphisms on ``K`` that (R2) equates on its generators.  The law at
-    ``(omega_d, omega_1)``, which ``pi(omega_d) = t`` states, rewritten by
-    (R2), gives (R3) ``theta(omega_d^2) = omega_1 omega_t``, and with it the
-    law for ``mu = h omega_d``: ``theta(g) theta(omega_d h omega_d^-1)
-    theta(omega_d^2) = theta(g) omega_1 theta^t(h) omega_t``.  (Jajcay and
-    Siran, Skew-morphisms of regular Cayley maps, Discrete Math. 2002;
-    Conder, Jajcay and Tucker, Regular t-balanced Cayley maps, JCTB 2007.)
-
-    A failure is a pair at which the law fails for the exponent the
-    reduction requires at ``eta`` (1 on ``K``, ``t`` off it), except an image
-    of ``K`` outside ``K``, reported as the element and its image.  So a
-    skew-morphism of another form, with ``ker pi`` other than ``K`` or with
-    ``phi(K) != K``, is rejected; ``check_skew`` certifies those.
+    ``(omega_d, omega_1)``, rewritten by (R2), gives (R3) ``theta(omega_d^2)
+    = omega_1 omega_t``, and with it the law for ``mu = h omega_d``:
+    ``theta(g) theta(omega_d h omega_d^-1) theta(omega_d^2) = theta(g)
+    omega_1 theta^t(h) omega_t``.  (Jajcay and Siran, Skew-morphisms of
+    regular Cayley maps, Discrete Math. 2002; Conder, Jajcay and Tucker,
+    Regular t-balanced Cayley maps, JCTB 2007.)  A failure has the witness
+    of the table certificate, ``(omega_d, s)`` where (R2) fails.
     """
     G = cmap.group
-    if G.n % 2:
-        raise MapError(f"the reduction needs the index-2 kernel <a^2, b>; {G} has odd n")
-    phi = phi.astype(np.int64)
-    failure = _table_failure(cmap, phi)
-    if failure is not None:
-        return failure
-
-    in_k = G.all_idx() // G.m % 2 == 0
-    w1, wd = int(cmap.omega_idx[0]), int(cmap.omega_idx[-1])
-    pi = power_function_probe(cmap, phi)
-    t = int(pi[wd])
-    if t == 0:
-        return _probe_failure(cmap, wd, "phi(eta * mu0) is not phi(eta) * (generator)")
-    bad = np.flatnonzero(pi != np.where(in_k, 1, t))
-    if bad.size:
-        eta = int(bad[0])
-        detail = "pi is not 1 on <a^2, b> and t = pi(omega_d) off it"
-        if pi[eta] == 0:
-            detail = "phi(eta * mu0) is not phi(eta) * (generator)"
-        return _probe_failure(cmap, eta, detail)
-
-    failure = restriction_failure(G, phi)
-    if failure is not None:
-        return failure
-
-    gens = np.array([G.code(2, 0), G.code(0, 1)], dtype=np.int64)
-    powered = gens
-    for _ in range(t):
-        powered = phi[powered]
-    lhs = phi[G.mul_vec(G.mul_vec(np.int64(wd), gens), G.inv_vec(np.int64(wd)))]
-    rhs = G.mul_vec(G.mul_vec(np.int64(w1), powered), G.inv_vec(np.int64(w1)))
-    off = np.flatnonzero(lhs != rhs)
-    if off.size:
-        detail = "phi(omega_d s omega_d^-1) is not omega_1 phi^t(s) omega_1^-1"
-        return SkewFailure(G.decode(wd), G.decode(int(gens[off[0]])), detail)
-    return SkewMorphism(cmap, phi, pi)
-
-
-def restriction_failure(G: Metacyclic, phi: np.ndarray) -> "Optional[SkewFailure]":
-    """(R1): ``phi`` maps ``K = <a^2, b>`` into itself and ``phi(k e) = phi(k) phi(e)``
-    for all ``k`` in ``K`` and ``e`` in ``{a^2, b}``; None if both hold.
-
-    Induction on word length in ``a^2, b`` then gives
-    ``phi(k k') = phi(k) phi(k')`` on all of ``K``, and an injective ``phi``
-    permutes ``K``.  A failure names an element of ``K`` and its image
-    outside ``K``, or a pair ``(k, e)`` at which the product rule fails.
-    """
-    kernel = np.flatnonzero(G.all_idx() // G.m % 2 == 0)
-    outside = np.flatnonzero(phi[kernel] // G.m % 2)
-    if outside.size:
-        k = int(kernel[outside[0]])
-        detail = "phi does not map <a^2, b> into itself"
-        return SkewFailure(G.decode(k), G.decode(int(phi[k])), detail)
-    for e in (G.code(2, 0), G.code(0, 1)):
-        off = np.flatnonzero(phi[G.mul_vec(kernel, np.int64(e))] != G.mul_vec(phi[kernel], phi[e]))
-        if off.size:
-            detail = "phi(k e) is not phi(k) phi(e) on <a^2, b>"
-            return SkewFailure(G.decode(int(kernel[off[0]])), G.decode(e), detail)
-    return None
+    if cmap.omega_idx.tolist() != rule.cycle:
+        raise MapError("the map's cycle is not the orbit of omega_d under the rule")
+    w1, wd = rule.omega_1, rule.omega_d
+    probe = G.mul_vec(G.inv_vec(w1), rule(int(G.mul_vec(wd, w1))))
+    t = int(cmap._pos_of_idx[probe]) or cmap.d
+    for s in (G.code(2, 0), G.code(0, 1)):
+        powered = s
+        for _ in range(t):
+            powered = rule(powered)
+        lhs = rule(int(G.mul_vec(G.mul_vec(wd, s), rule._omega_d_inv)))
+        if lhs != int(G.mul_vec(G.mul_vec(w1, powered), G.inv_vec(w1))):
+            detail = "phi(omega_d s omega_d^-1) is not omega_1 phi^t(s) omega_1^-1"
+            return SkewFailure(G.decode(wd), G.decode(s), detail)
+    return t
 
 
 def power_function_probe(cmap: CayleyMap, phi: np.ndarray) -> np.ndarray:

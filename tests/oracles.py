@@ -18,7 +18,11 @@ production certificates rely on, so the tests can compare the two:
   reads ``t`` off ``iota`` at one position;
 * ``reduction_conditions`` evaluates the coset rule, (R2) and (R3) of the
   reduction to ``<a^2, b>`` element by element, against the implications
-  that ``maps.check_skew_by_reduction`` relies on instead of checking them;
+  that the reduction certificates rely on instead of checking them;
+* ``check_skew_by_reduction`` (with ``restriction_failure``) certifies a
+  ``phi`` table by that reduction in ``O(|G|)``, checking on the table what
+  the rule-form certificate ``maps.check_skew_by_rule`` of ``realize``
+  holds by construction;
 * ``closed_form_failure`` and ``inverse_condition_failure`` evaluate the
   orbit identities index by index in Python integers, the twisted sums as
   an ``O(d^2)`` double loop, against the prefix sums of
@@ -38,6 +42,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from rbcm import maps
 from rbcm.autos import AutoParams, tilde_exponents, validate
 from rbcm.groups import Metacyclic
 from rbcm.maps import BalanceData, CayleyMap, orbit_walk
@@ -242,6 +247,105 @@ def reduction_conditions(cmap: CayleyMap, phi: np.ndarray, t: int) -> "dict[str,
     )
     r3 = image(G.mul(wd, wd)) == G.mul(w1, G.decode(int(cmap.omega_idx[t - 1])))
     return {"coset": coset, "R2": r2, "R3": r3}
+
+
+def check_skew_by_reduction(cmap: CayleyMap, phi: np.ndarray) -> "maps.SkewMorphism | maps.SkewFailure":
+    """Verify a candidate ``phi`` table by the reduction to the index-2 kernel ``K = <a^2, b>``.
+
+    The table form of ``maps.check_skew_by_rule``, which ``realize`` runs:
+    every condition that the rule form holds by construction is checked
+    here on the ``|G|``-sized table.
+    ``check_skew``'s contract, on ``L(n, m; r)`` with even ``n``; ``K`` is
+    the elements with even ``x``.  Write ``omega_d = omega_0`` and
+    ``theta = phi|K``.  After ``check_skew``'s table checks it checks, in
+    ``O(|G|)`` array work and ``t`` table steps (the darts take ``O(|G| d)``):
+
+    * pi: the ``omega_1`` probe reads 1 on ``K`` and ``t = pi(omega_d)`` off it;
+    * (R1) ``theta`` is an automorphism of ``K`` (``restriction_failure``);
+    * (R2) ``phi(omega_d s omega_d^-1) = omega_1 phi^t(s) omega_1^-1`` for
+      ``s`` in ``{a^2, b}``.
+
+    These prove the law on all pairs with that ``pi``.  By (R1) every
+    ``omega_i = phi^i(omega_d)`` lies off ``K``, so ``h1 = omega_1 omega_d^-1``
+    lies in ``K``.  ``pi = 1`` at ``h h1^-1`` and at ``h1^-1`` gives the coset
+    rule ``phi(h omega_d) = theta(h) omega_1``; with (R1) that is the law for
+    ``eta`` in ``K``, and ``phi^k(h omega_d) = theta^k(h) omega_k``.  For
+    ``eta = g omega_d`` and ``mu`` in ``K`` the law is
+    ``theta(omega_d mu omega_d^-1) = omega_1 theta^t(mu) omega_1^-1``: two
+    homomorphisms on ``K`` that (R2) equates on its generators.  The law at
+    ``(omega_d, omega_1)``, which ``pi(omega_d) = t`` states, rewritten by
+    (R2), gives (R3) ``theta(omega_d^2) = omega_1 omega_t``, and with it the
+    law for ``mu = h omega_d``: ``theta(g) theta(omega_d h omega_d^-1)
+    theta(omega_d^2) = theta(g) omega_1 theta^t(h) omega_t``.  (Jajcay and
+    Siran, Skew-morphisms of regular Cayley maps, Discrete Math. 2002;
+    Conder, Jajcay and Tucker, Regular t-balanced Cayley maps, JCTB 2007.)
+
+    A failure is a pair at which the law fails for the exponent the
+    reduction requires at ``eta`` (1 on ``K``, ``t`` off it), except an image
+    of ``K`` outside ``K``, reported as the element and its image.  So a
+    skew-morphism of another form, with ``ker pi`` other than ``K`` or with
+    ``phi(K) != K``, is rejected; ``check_skew`` certifies those.
+    """
+    G = cmap.group
+    if G.n % 2:
+        raise maps.MapError(f"the reduction needs the index-2 kernel <a^2, b>; {G} has odd n")
+    phi = phi.astype(np.int64)
+    failure = maps._table_failure(cmap, phi)
+    if failure is not None:
+        return failure
+
+    in_k = G.all_idx() // G.m % 2 == 0
+    w1, wd = int(cmap.omega_idx[0]), int(cmap.omega_idx[-1])
+    pi = maps.power_function_probe(cmap, phi)
+    t = int(pi[wd])
+    if t == 0:
+        return maps._probe_failure(cmap, wd, "phi(eta * mu0) is not phi(eta) * (generator)")
+    bad = np.flatnonzero(pi != np.where(in_k, 1, t))
+    if bad.size:
+        eta = int(bad[0])
+        detail = "pi is not 1 on <a^2, b> and t = pi(omega_d) off it"
+        if pi[eta] == 0:
+            detail = "phi(eta * mu0) is not phi(eta) * (generator)"
+        return maps._probe_failure(cmap, eta, detail)
+
+    failure = restriction_failure(G, phi)
+    if failure is not None:
+        return failure
+
+    gens = np.array([G.code(2, 0), G.code(0, 1)], dtype=np.int64)
+    powered = gens
+    for _ in range(t):
+        powered = phi[powered]
+    lhs = phi[G.mul_vec(G.mul_vec(np.int64(wd), gens), G.inv_vec(np.int64(wd)))]
+    rhs = G.mul_vec(G.mul_vec(np.int64(w1), powered), G.inv_vec(np.int64(w1)))
+    off = np.flatnonzero(lhs != rhs)
+    if off.size:
+        detail = "phi(omega_d s omega_d^-1) is not omega_1 phi^t(s) omega_1^-1"
+        return maps.SkewFailure(G.decode(wd), G.decode(int(gens[off[0]])), detail)
+    return maps.SkewMorphism(cmap, phi, pi)
+
+
+def restriction_failure(G: Metacyclic, phi: np.ndarray) -> "Optional[maps.SkewFailure]":
+    """(R1): ``phi`` maps ``K = <a^2, b>`` into itself and ``phi(k e) = phi(k) phi(e)``
+    for all ``k`` in ``K`` and ``e`` in ``{a^2, b}``; None if both hold.
+
+    Induction on word length in ``a^2, b`` then gives
+    ``phi(k k') = phi(k) phi(k')`` on all of ``K``, and an injective ``phi``
+    permutes ``K``.  A failure names an element of ``K`` and its image
+    outside ``K``, or a pair ``(k, e)`` at which the product rule fails.
+    """
+    kernel = np.flatnonzero(G.all_idx() // G.m % 2 == 0)
+    outside = np.flatnonzero(phi[kernel] // G.m % 2)
+    if outside.size:
+        k = int(kernel[outside[0]])
+        detail = "phi does not map <a^2, b> into itself"
+        return maps.SkewFailure(G.decode(k), G.decode(int(phi[k])), detail)
+    for e in (G.code(2, 0), G.code(0, 1)):
+        off = np.flatnonzero(phi[G.mul_vec(kernel, np.int64(e))] != G.mul_vec(phi[kernel], phi[e]))
+        if off.size:
+            detail = "phi(k e) is not phi(k) phi(e) on <a^2, b>"
+            return maps.SkewFailure(G.decode(int(kernel[off[0]])), G.decode(e), detail)
+    return None
 
 
 def sequential_propagate(

@@ -18,6 +18,7 @@ generation certificate of ``Metacyclic.generates`` is compared with the
 closure BFS ``closure_idx`` on random subsets.
 """
 
+import dataclasses
 import random
 from collections import Counter
 from functools import lru_cache
@@ -28,7 +29,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 import oracles
 from rbcm import autos, brute, maps
-from rbcm.classify import _build_phi, _generates_a2_b, realize
+from rbcm.classify import _build_phi, _coset_rule, _generates_a2_b, realize
 from rbcm.groups import DeltaParams, Metacyclic, parse_group, plus_presentation
 from rbcm.maps import (
     CayleyMap,
@@ -36,11 +37,12 @@ from rbcm.maps import (
     SkewFailure,
     SkewMorphism,
     check_skew,
-    check_skew_by_reduction,
+    check_skew_by_rule,
     genus,
     is_regular,
     power_function_probe,
 )
+from oracles import check_skew_by_reduction
 
 SKEW_GROUPS = ("Z8", "Z2xZ4", "L(8,2,3)", "L(16,4,5)")
 GENUS_GROUPS = ("Z4",) + SKEW_GROUPS
@@ -120,14 +122,16 @@ def assert_reduction_witness(cmap: CayleyMap, phi: np.ndarray, res) -> None:
 REDUCTION_TRIPLES = ((7, 3, 4), (8, 3, 5), (8, 4, 5), (9, 3, 6))  # orders 2^10 to 2^12
 
 
-def test_reduction_matches_dart_certificate_on_built_tables():
-    """Tables of ``_build_phi`` on random residues ``(z, w, u~, u1, v1)``:
+@lru_cache(maxsize=None)
+def random_residue_maps() -> "tuple[tuple[maps.CosetRule, CayleyMap, np.ndarray], ...]":
+    """Rules of random residues ``(z, w, u~, u1, v1)``, each with its table
+    from ``_build_phi`` and the map of the table's orbit of ``omega_d``:
     ``theta = sigma(z,1;0,w)`` is any automorphism of ``<a^2, b>`` in that
     form, ``u~`` is odd, ``v1`` is -2 (as in every realized class) or free,
     and ``u1`` is free or solves (C2) at ``ell = 1``.  Tuples whose orbit is
-    not a Cayley map are skipped.  Both verdicts must occur."""
+    not a Cayley map are skipped."""
     rng = random.Random(12)
-    verdicts = Counter()
+    out = []
     for a, b, c in REDUCTION_TRIPLES:
         G = DeltaParams(a, b, c).group()
         sub = plus_presentation(G).group
@@ -143,23 +147,85 @@ def test_reduction_matches_dart_certificate_on_built_tables():
             v1 = rng.choice([-2 % (1 << b), rng.randrange(1 << b)])
             c2 = -(1 + (1 << (c - 1)) * (v1 - 1)) * u_tilde  # (C2) at ell = 1
             u1 = rng.choice([c2, rng.randrange(1 << (a - 1))]) % (1 << (a - 1))
-            phi, omega_d = _build_phi(G, z, w, u_tilde, u1, v1)
-            cycle = maps.orbit_walk(phi, omega_d)
+            rule = _coset_rule(G, z, w, u_tilde, u1, v1)
+            phi = _build_phi(rule)
+            cycle = maps.orbit_walk(phi, rule.omega_d)
             if cycle is None:
                 continue
             try:
-                cmap = CayleyMap(G, cycle)
+                out.append((rule, CayleyMap(G, cycle), phi))
             except MapError:
                 continue
-            dart, reduced = check_skew(cmap, phi), check_skew_by_reduction(cmap, phi)
-            assert isinstance(reduced, SkewMorphism) == isinstance(dart, SkewMorphism)
-            if isinstance(reduced, SkewMorphism):
-                assert np.array_equal(reduced.pi, dart.pi)
-                verdicts["pass"] += 1
-            else:
-                assert_reduction_witness(cmap, phi, reduced)
-                verdicts["fail"] += 1
+    return tuple(out)
+
+
+def test_reduction_matches_dart_certificate_on_built_tables():
+    """The reduction and the dart certificate on the tables of
+    ``random_residue_maps``.  Both verdicts must occur."""
+    verdicts = Counter()
+    for _, cmap, phi in random_residue_maps():
+        dart, reduced = check_skew(cmap, phi), check_skew_by_reduction(cmap, phi)
+        assert isinstance(reduced, SkewMorphism) == isinstance(dart, SkewMorphism)
+        if isinstance(reduced, SkewMorphism):
+            assert np.array_equal(reduced.pi, dart.pi)
+            verdicts["pass"] += 1
+        else:
+            assert_reduction_witness(cmap, phi, reduced)
+            verdicts["fail"] += 1
     assert verdicts["pass"] >= 1 and verdicts["fail"] >= 1, verdicts
+
+
+def test_rule_matches_reduction_on_random_residues():
+    """The rule-form certificate against the table reduction on the residues
+    of ``random_residue_maps``: the rule walks the table's cycle, and both
+    give the same verdict, with the same ``t`` and ``pi`` or the same
+    failure and witness.  Both verdicts must occur.  The law at
+    ``(omega_d, omega_1)`` fits some ``t`` on every one of them, as
+    ``check_skew_by_rule`` proves."""
+    verdicts = Counter()
+    for rule, cmap, phi in random_residue_maps():
+        G = cmap.group
+        assert rule.cycle == cmap.omega_idx.tolist()
+        assert oracles.probe_power_function(cmap, phi)[rule.omega_d] > 0
+        by_rule, reduced = check_skew_by_rule(cmap, rule), check_skew_by_reduction(cmap, phi)
+        if isinstance(reduced, SkewMorphism):
+            assert by_rule == reduced.pi[rule.omega_d]
+            assert np.array_equal(reduced.pi, np.where(G.all_idx() // G.m % 2 == 0, 1, by_rule))
+            verdicts["pass"] += 1
+        else:
+            assert by_rule == reduced
+            verdicts[reduced.detail] += 1
+    assert verdicts["pass"] >= 1 and len(verdicts) >= 2, verdicts
+
+
+def existence_triples(max_log_order: int) -> "list[tuple[int, int, int]]":
+    """Every ``D(a,b,c)`` with ``c > b`` of order at most ``2^max_log_order``."""
+    return [
+        (a, b, c)
+        for a in range(7, max_log_order)
+        for b in range(1, max_log_order - a + 1)
+        for c in range(max(2, a - b, b + 1), a - 2)
+    ]
+
+
+def test_rule_matches_reduction_on_every_class_up_to_2_14():
+    """On every class of every existence triple up to order ``2^14``, the
+    rule gives the cycle, ``t``, ``ell`` and ``pi`` that the table reduction
+    certifies on the materialized table."""
+    classes = 0
+    for a, b, c in existence_triples(14):
+        for z1 in range(1 << (a - c - 1)):
+            r = realize(a, b, c, z1, full=False)
+            phi = _build_phi(r.rule)
+            cmap = CayleyMap(r.cmap.group, maps.orbit_walk(phi, r.rule.omega_d))
+            assert cmap.omega_idx.tolist() == r.rule.cycle == r.cmap.omega_idx.tolist()
+            bal = maps.balance_data(cmap)
+            assert (bal.t, bal.ell) == (r.solution.t, r.solution.ell)
+            reduced = check_skew_by_reduction(cmap, phi)
+            assert reduced.pi[r.rule.omega_d] == check_skew_by_rule(cmap, r.rule) == bal.t
+            assert np.array_equal(reduced.pi, r.skew.pi) and np.array_equal(phi, r.skew.phi)
+            classes += 1
+    assert classes == 52
 
 
 def test_reduction_covers_exactly_the_maps_of_its_form():
@@ -230,13 +296,17 @@ def test_reduction_rejects_a_table_off_the_coset_rule():
     assert_reduction_witness(r.cmap, phi, res)
 
 
-def bad_w_table() -> "tuple[CayleyMap, np.ndarray]":
+def bad_w_rule() -> maps.CosetRule:
     """The residues of the class ``z1 = 0`` of ``D(7,3,4)`` with ``w = 1`` in
     place of 5 and ``u~ = 3``: the orbit is a Cayley map, (R1) and the pi
     rule hold, and (R2) and (R3) fail."""
-    G = DeltaParams(7, 3, 4).group()
-    phi, omega_d = _build_phi(G, 3, 1, 3, 5, 6)
-    return CayleyMap(G, maps.orbit_walk(phi, omega_d)), phi
+    return _coset_rule(DeltaParams(7, 3, 4).group(), 3, 1, 3, 5, 6)
+
+
+def bad_w_table() -> "tuple[CayleyMap, np.ndarray]":
+    rule = bad_w_rule()
+    phi = _build_phi(rule)
+    return CayleyMap(rule.pres.parent, maps.orbit_walk(phi, rule.omega_d)), phi
 
 
 def test_reduction_rejects_a_table_off_r2():
@@ -247,6 +317,32 @@ def test_reduction_rejects_a_table_off_r2():
     assert_reduction_witness(cmap, phi, res)
     assert_real_witness(cmap, phi, res)
     assert isinstance(check_skew(cmap, phi), SkewFailure)
+
+
+def test_rule_rejects_residues_off_r2():
+    rule = bad_w_rule()
+    cmap = CayleyMap(rule.pres.parent, rule.cycle)
+    res = check_skew_by_rule(cmap, rule)
+    assert res.detail == "phi(omega_d s omega_d^-1) is not omega_1 phi^t(s) omega_1^-1"
+    assert res.eta == cmap.group.decode(rule.omega_d)
+    table_cmap, phi = bad_w_table()
+    assert np.array_equal(table_cmap.omega_idx, cmap.omega_idx)
+    assert res == check_skew_by_reduction(cmap, phi)
+    assert_real_witness(cmap, phi, res)
+
+
+def test_rule_checks_its_preconditions():
+    good = realize(7, 3, 4, 0, full=False).rule
+    G, theta = good.pres.parent, good.theta
+    with pytest.raises(autos.AutomorphismError, match="even"):
+        maps.CosetRule(
+            good.pres, dataclasses.replace(theta, x1=2 * theta.x1), good.omega_d, good.omega_1
+        )
+    for omega_d, omega_1 in ((G.code(2, 1), good.omega_1), (good.omega_d, G.code(2, 1))):
+        with pytest.raises(MapError, match="off <a\\^2, b>"):
+            maps.CosetRule(good.pres, theta, omega_d, omega_1)
+    with pytest.raises(MapError, match="not the orbit"):
+        check_skew_by_rule(CayleyMap(G, good.cycle).rotate(1), good)
 
 
 def test_reduction_rejects_tables_off_r3():

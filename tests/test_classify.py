@@ -139,11 +139,11 @@ class TestRealize:
     def test_restriction_check_rejects_swapped_kernel_images(self):
         r = realize(7, 3, 4, 0)
         G = r.cmap.group
-        assert maps.restriction_failure(G, r.skew.phi) is None
+        assert oracles.restriction_failure(G, r.skew.phi) is None
         kernel = np.flatnonzero(r.skew.kernel_mask())
         x, y = kernel[1], kernel[-1]
         r.skew.phi[[x, y]] = r.skew.phi[[y, x]]
-        res = maps.restriction_failure(G, r.skew.phi)
+        res = oracles.restriction_failure(G, r.skew.phi)
         assert res.detail == "phi(k e) is not phi(k) phi(e) on <a^2, b>"
         k, e = G.encode(res.eta), G.encode(res.mu)
         assert r.skew.phi[G.mul_vec(np.int64(k), np.int64(e))] != G.mul_vec(
@@ -159,25 +159,37 @@ class TestRealize:
         r = realize(7, 3, 4, 0, full=full)
         assert r.verified and r.checks["phi_restriction_is_automorphism"]
 
+    def test_realize_builds_no_table_at_the_fast_level(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a |G|-sized table was built")
+
+        for owner, name in (
+            (classify_module, "_build_phi"), (maps, "power_function_probe"),
+            (oracles, "restriction_failure"), (oracles, "check_skew_by_reduction"),
+            (maps, "check_skew"), (maps, "orbit_walk"), (autos, "as_perm"),
+            (autos, "geom_table"),
+        ):
+            monkeypatch.setattr(owner, name, fail)
+        for z1 in range(16):
+            r = realize(11, 5, 6, z1, full=False)
+            assert r.verified and "skew" not in vars(r)
+
     def test_table_off_r2_is_a_verification_error(self, monkeypatch):
-        # swap the image of omega_d a^2 omega_d^-1 with that of b: the cycle
-        # (all off <a^2, b>) and so the map and its balance stay as realized
-        build = classify_module._build_phi
-        broken = {}
-
-        def build_off_r2(G, *residues):
-            phi, omega_d = build(G, *residues)
-            wd = np.int64(omega_d)
-            conj = int(G.mul_vec(G.mul_vec(wd, np.int64(G.code(2, 0))), G.inv_vec(wd)))
-            phi[[conj, G.code(0, 1)]] = phi[[G.code(0, 1), conj]]
-            broken["phi"] = phi.copy()
-            return phi, omega_d
-
+        # swap theta's images of omega_d a^2 omega_d^-1 and b inside the rule:
+        # the cycle, and so the map and its balance, stay as realized
         good = realize(7, 3, 4, 0, full=False)
-        monkeypatch.setattr(classify_module, "_build_phi", build_off_r2)
-        with pytest.raises(VerificationError, match="skew law fails"):
-            realize(7, 3, 4, 0, full=False)
-        assert not oracles.reduction_conditions(good.cmap, broken["phi"], good.solution.t)["R2"]
+        G, wd = good.cmap.group, good.rule.omega_d
+        conj = int(G.mul_vec(G.mul_vec(wd, G.code(2, 0)), G.inv_vec(wd)))
+        swap = {conj: G.code(0, 1), G.code(0, 1): conj}
+        theta = maps.CosetRule._theta
+        monkeypatch.setattr(maps.CosetRule, "_theta", lambda rule, h: theta(rule, swap.get(h, h)))
+        for full in (False, True):
+            with pytest.raises(VerificationError, match="skew law fails"):
+                realize(7, 3, 4, 0, full=full)
+        broken = dataclasses.replace(good.rule)
+        assert broken.cycle == good.cmap.omega_idx.tolist()
+        table = np.array([broken(g) for g in range(G.order)])
+        assert not oracles.reduction_conditions(good.cmap, table, good.solution.t)["R2"]
 
     def test_eta_check_rejects_generators_of_a_b2(self):
         r = realize(7, 3, 4, 0)

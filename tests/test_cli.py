@@ -4,6 +4,10 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -364,3 +368,22 @@ class TestInfoCommand:
         semicolon = run_cli(capsys, "info", "--group", "D(7,3;4)")
         assert semicolon[0] == 0 and "classification" in semicolon[1]
         assert run_cli(capsys, "info", "--group", "D(7,3,4)") == semicolon
+
+
+def test_fast_classify_loads_no_oracle_module_and_no_numpy_ma():
+    """``classify`` leaves ``rbcm.brute`` unloaded, and its fast level calls
+    no ``np.unique``, whose first call imports ``numpy.ma`` in numpy 2."""
+    script = (
+        "import sys, numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from rbcm.cli import main\n"
+        "rc = main(['--workers', '1', 'classify', '--a', '11', '--b', '5', '--c', '6',\n"
+        "           '--verify-level', 'fast'])\n"
+        "print(rc, 'rbcm.brute' in sys.modules, ('numpy.ma' in sys.modules) == before)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.stdout.splitlines()[-1] == "0 False True", proc.stderr
