@@ -17,9 +17,11 @@ int64 arrays (``AutGroup``).  One image formula serves ``as_perm`` (one
 automorphism on every element) and ``AutGroup.images`` (one element under
 every automorphism), on the cached geometric-sum table of
 ``groups.geom_table``, and ``image`` (one element, with ``geom_sum_mod``
-and no table); ``apply`` is the scalar reference.  Composition,
-inversion, restriction to the index-2 subgroup ``<a^2, b>`` and conjugation
-into the normal form ``sigma(z,1;0,w)`` all live here.
+and no table); ``apply`` is the scalar reference.  ``solve`` inverts the
+formula: the automorphisms with given images of two generators, with no
+``aut_group`` scan.  Composition, inversion, restriction to the index-2
+subgroup ``<a^2, b>`` and conjugation into the normal form
+``sigma(z,1;0,w)`` all live here.
 """
 
 from __future__ import annotations
@@ -98,35 +100,60 @@ class ValidationReport:
         return self.ok
 
 
+def _constraints(G: Metacyclic, x1, y1, x2, y2) -> "dict[str, object]":
+    """Each constraint of the family on ``sigma(x1,y1;x2,y2)``, and whether it holds.
+
+    The one statement of the constraints: ``validate`` reports the failed
+    ones of one tuple, and ``solve`` keeps the candidates that pass them all,
+    broadcasting over arrays of reduced parameters.  ``deg2(k) >= e`` reads
+    ``k = 0 (mod 2^e)``.
+    """
+    at, bt, ct = tilde_exponents(G)
+    if G.order == 1:
+        return {}
+    if bt == 0:
+        # m = 1: the group is cyclic <a>; only x1 matters.
+        return {"x1": x1 % 2 == 1}
+    return {
+        "det": (x1 * y2 - x2 * y1) % 2 == 1,
+        "y1": y1 % (1 << max(bt - ct, 0)) == 0,
+        "x2": x2 % (1 << max(at - bt, 0)) == 0,
+        "y2": (y2 - _y2_target(G, y1)) % (1 << max(min(at - ct, bt), 0)) == 0,
+    }
+
+
+def _y2_target(G: Metacyclic, y1):
+    """The residue that ``y2`` must have modulo ``2^min(at-ct, bt)``.
+
+    It is 1, except in the corner case ``bt = at - ct``, ``deg2(y1) = at - 2 ct``,
+    where it is ``1 + 2^(at-ct-1)``; ``deg2(y1) = k`` reads ``y1 = 2^k (mod
+    2^(k+1))``.  Broadcasts over arrays of ``y1``.
+    """
+    at, bt, ct = tilde_exponents(G)
+    k = at - 2 * ct
+    if bt == 0 or bt != at - ct or k < 0:
+        return 1
+    return 1 + (1 << (at - ct - 1)) * (y1 % (2 << k) == 1 << k)
+
+
 def validate(params: AutoParams) -> ValidationReport:
     """Check the four parameter constraints; report every violated one."""
     G = params.group
     at, bt, ct = tilde_exponents(G)
     x1, y1, x2, y2 = params.x1, params.y1, params.x2, params.y2
-    violations = []
-    if G.order == 1:
-        return ValidationReport(True, ())
-    if bt == 0:
-        # m = 1: the group is cyclic <a>; only x1 matters.
-        if x1 % 2 == 0:
-            violations.append(f"x1 must be odd, got {x1}")
-        return ValidationReport(not violations, tuple(violations))
-    if (x1 * y2 - x2 * y1) % 2 == 0:
-        violations.append(f"determinant x1*y2 - x2*y1 = {x1 * y2 - x2 * y1} is even")
-    if deg2(y1) < bt - ct:
-        violations.append(f"deg2(y1)={deg2(y1)} < bt-ct={bt - ct}")
-    if deg2(x2) < at - bt:
-        violations.append(f"deg2(x2)={deg2(x2)} < at-bt={at - bt}")
     mu = min(at - ct, bt)
-    if mu > 0:
-        corner = bt == at - ct and deg2(y1) + ct == at - ct
-        target = (1 + (1 << (at - ct - 1))) if corner else 1
-        if (y2 - target) % (1 << mu):
-            violations.append(
-                f"y2 = {y2} != {target % (1 << mu)} (mod 2^{mu})"
-                + (" [corner case]" if corner else "")
-            )
-    return ValidationReport(not violations, tuple(violations))
+    target = int(_y2_target(G, y1))
+    messages = {
+        "x1": lambda: f"x1 must be odd, got {x1}",
+        "det": lambda: f"determinant x1*y2 - x2*y1 = {x1 * y2 - x2 * y1} is even",
+        "y1": lambda: f"deg2(y1)={deg2(y1)} < bt-ct={bt - ct}",
+        "x2": lambda: f"deg2(x2)={deg2(x2)} < at-bt={at - bt}",
+        "y2": lambda: f"y2 = {y2} != {target % (1 << mu)} (mod 2^{mu})"
+        + (" [corner case]" if target != 1 else ""),
+    }
+    held = _constraints(G, x1, y1, x2, y2)
+    violations = tuple(messages[name]() for name, ok in held.items() if not ok)
+    return ValidationReport(not violations, violations)
 
 
 def apply(params: AutoParams, g: GroupElement) -> GroupElement:
@@ -176,8 +203,10 @@ def _images(G: Metacyclic, x1, y1, x2, y2, u, v, geom=None):
     if geom is None:
         table = geom_table(G)
         geom = lambda y, k: table[y, k]
-    x = (x1 * geom(y1, u) + x2 * geom(y2, v % n)) % n
-    return x * m + (y1 * u + y2 * v) % m
+    x = x1 * geom(y1, u)
+    if isinstance(x2, np.ndarray) or x2:  # a scalar x2 = 0, as in sigma(z,1;0,w), adds nothing
+        x = x + x2 * geom(y2, v % n)
+    return x % n * m + (y1 * u + y2 * v) % m
 
 
 def compose(outer: AutoParams, inner: AutoParams) -> AutoParams:
@@ -305,6 +334,60 @@ class AutGroup(Sequence):
         return _images(self.group, x1, y1, x2, y2, u, v)
 
 
+def solve(G: Metacyclic, g1: int, g2: int, t1: np.ndarray, t2: np.ndarray) -> "tuple[AutGroup, np.ndarray]":
+    """The automorphisms sending ``g1 -> t1[k]`` and ``g2 -> t2[k]``: at most one per ``k``.
+
+    The parities of ``g1 = a^u1 b^v1`` and ``g2 = a^u2 b^v2`` must span
+    ``G/Phi(G)``, so ``u1 v2 - v1 u2`` is odd.  The ``y``-slots of the images,
+    ``y1 u + y2 v = V (mod m)``, are a 2x2 system with that determinant; with
+    ``(y1, y2)`` fixed, the ``x``-slots ``x1 [u]_(r^y1) + x2 [v]_(r^y2) = U
+    (mod n)`` are another, and ``[k]_s = k (mod 2)`` for odd ``s`` keeps its
+    determinant odd.  So each ``k`` has one candidate; the rows returned
+    are those that pass ``validate``'s constraints, with their ``k``.  On
+    a cyclic group (``m = 1``) only ``x1`` is solved, from ``g1`` with
+    ``u1`` odd.  No ``|Aut(G)|``-sized array is built.
+    """
+    tilde_exponents(G)  # AutomorphismError outside the family
+    n, m = G.n, G.m
+    (u1, v1), (u2, v2) = divmod(int(g1), m), divmod(int(g2), m)
+    (U1, V1), (U2, V2) = divmod(t1, m), divmod(t2, m)
+    if m == 1:
+        if u1 % 2 == 0:
+            raise AutomorphismError(f"a^{u1} does not generate G/Phi(G)")
+        zero = np.zeros_like(U1)
+        x1, y1, x2, y2 = U1 * pow(u1, -1, n) % n, zero, zero, zero
+    else:
+        det = u1 * v2 - v1 * u2
+        if det % 2 == 0:
+            raise AutomorphismError(f"the parities of {g1} and {g2} do not span G/Phi(G)")
+        det_inv = pow(det % m, -1, m)
+        y1 = (v2 * V1 - v1 * V2) % m * det_inv % m
+        y2 = (u1 * V2 - u2 * V1) % m * det_inv % m
+        table = geom_table(G)
+        c11, c12 = table[y1, u1], table[y2, v1 % n]
+        c21, c22 = table[y1, u2], table[y2, v2 % n]
+        inv = _odd_inverse((c11 * c22 - c12 * c21) % n, n)
+        x1 = (c22 * U1 - c12 * U2) % n * inv % n
+        x2 = (c11 * U2 - c21 * U1) % n * inv % n
+    keep = np.ones(U1.shape, dtype=bool)
+    for held in _constraints(G, x1, y1, x2, y2).values():
+        keep &= held
+    return AutGroup(G, x1[keep], y1[keep], x2[keep], y2[keep]), np.flatnonzero(keep)
+
+
+def _odd_inverse(a: np.ndarray, n: int) -> np.ndarray:
+    """Inverses of the odd residues ``a`` modulo the power of two ``n``.
+
+    ``a a = 1 (mod 8)``, and each Newton step ``x (2 - a x)`` doubles the
+    bits that are right.
+    """
+    x, bits = a % n, 3
+    while (1 << bits) < n:
+        x = x * ((2 - a * x) % n) % n
+        bits *= 2
+    return x
+
+
 @lru_cache(maxsize=None)
 def aut_group(group: Metacyclic) -> AutGroup:
     """Every validated parameter tuple, built from the progressions the constraints allow.
@@ -323,8 +406,7 @@ def aut_group(group: Metacyclic) -> AutGroup:
     y1 = np.arange(0, m, 1 << max(bt - ct, 0), dtype=np.int64)
     x2 = np.arange(0, n, 1 << max(at - bt, 0), dtype=np.int64)
     mu = max(min(at - ct, bt), 0)
-    shift = 1 << (at - ct - 1) if bt == at - ct else 0  # the corner case: deg2(y1) = at - 2 ct
-    offset = np.array([1 + shift * (deg2(y) + ct == at - ct) for y in y1.tolist()]) % (1 << mu)
+    offset = np.broadcast_to(_y2_target(group, y1), y1.shape) % (1 << mu)
     y2 = offset[:, None] + (np.arange(m >> mu, dtype=np.int64) << mu)[None, :]
     # axes (x1, y1, x2, y2 offset); y2 varies with y1 through the corner case
     grid = (x1[:, None, None, None], y1[None, :, None, None], x2[None, None, :, None],

@@ -334,6 +334,13 @@ def _balanced_arm(
         _check_time(start, budget, found, aut_perms)
 
 
+def _complement(G: Metacyclic, members: np.ndarray) -> np.ndarray:
+    """The encoded elements of ``G`` outside ``members``, ascending."""
+    outside = np.ones(G.order, dtype=bool)
+    outside[members] = False
+    return np.flatnonzero(outside)
+
+
 def _coset_orbits(G: Metacyclic, members: np.ndarray, hperm: np.ndarray) -> "list[list[int]]":
     """The cycle ``(omega_1, .., omega_d)`` of every seed pair ``(omega_d,
     omega_1)`` off the index-2 subgroup ``H`` (``members``), in that order.
@@ -344,7 +351,7 @@ def _coset_orbits(G: Metacyclic, members: np.ndarray, hperm: np.ndarray) -> "lis
     ``|G|`` steps; the first return to ``omega_d`` fixes ``d``, and a pair
     whose orbit does not return gives no cycle.
     """
-    coset = np.setdiff1d(G.all_idx(), members)
+    coset = _complement(G, members)
     C, N = coset.size, G.order
     phi = np.empty((C * C, N), dtype=np.int64)  # row i C + j: (omega_d, omega_1) = coset[i, j]
     phi[:, members] = hperm[members]
@@ -553,7 +560,7 @@ def guided_search_delta(
 
     N, m = G.order, G.m
     kernel = pres.include_vec(sub.all_idx())
-    coset = np.setdiff1d(G.all_idx(), kernel)
+    coset = _complement(G, kernel)
 
     # The coset orbit of a seed omega_d factors through the twisted powers
     # T_1 = c, T_(k+1) = phi+(T_k) * c of c = omega_1 omega_d^-1: the orbit is
@@ -663,7 +670,7 @@ def guided_search_delta(
                 except maps.MapError:
                     continue
                 pi = maps.power_function_probe(cmap, phi)
-                if not set(np.unique(pi).tolist()) <= {1, t0 % d or d}:
+                if not set(pi.tolist()) <= {1, t0 % d or d}:
                     continue
                 found.extend(_reverify_once(G, [orbit], seen))
 

@@ -367,16 +367,18 @@ def distinct(realized: "list[RealizedRbcm]") -> DistinctnessCertificate:
 
     Route one is the closed-form shift rule: the residues ``z`` of two
     realized classes give isomorphic maps exactly when they agree modulo
-    ``2^(a-2)``.  Route two screens all of ``Aut(G)`` in one pass per map
-    (``maps.isomorphisms``) and verifies every hit on all ``d`` generators.
-    The two verdicts must agree for every pair, and the search must find
-    the relation reflexive and symmetric.
+    ``2^(a-2)``.  Route two solves for every automorphism that carries one
+    map onto another (``maps.isomorphisms``: at most one candidate per
+    target and rotation, in parameter space, with no ``Aut(G)`` scan) and
+    verifies every hit on all ``d`` generators.  The two verdicts must
+    agree for every pair, and the search must find the relation reflexive
+    and symmetric.
     """
     if len(realized) < 2:
         return DistinctnessCertificate(0, (), ())
     a = realized[0].solution.a
     cmaps = [r.cmap for r in realized]
-    hits = maps.isomorphisms(autos.aut_group(cmaps[0].group), cmaps, cmaps)
+    hits = maps.isomorphisms(cmaps, cmaps)
     iso = {(i, int(j)) for i, (_, targets) in enumerate(hits) for j in targets}
     if any((i, i) not in iso for i in range(len(cmaps))) or any((j, i) not in iso for i, j in iso):
         raise InternalInconsistency("isomorphism search is not reflexive and symmetric")

@@ -197,11 +197,11 @@ class Metacyclic:
             return np.array([0], dtype=np.int64)
         member = np.zeros(self.order, dtype=bool)
         member[0] = True
-        frontier = np.unique(np.concatenate([gens, self.inv_vec(gens)]))
+        frontier = sorted_unique(np.concatenate([gens, self.inv_vec(gens)]))
         member[frontier] = True
         while frontier.size:
             prod = self.mul_vec(frontier[:, None], gens[None, :]).ravel()
-            fresh = np.unique(prod[~member[prod]])
+            fresh = sorted_unique(prod[~member[prod]])
             member[fresh] = True
             frontier = fresh
         return np.flatnonzero(member).astype(np.int64)
@@ -233,6 +233,18 @@ class Metacyclic:
                 f"group of order {self.order} too large for the permutation oracle"
             )
         return PermRepresentation(self)
+
+
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a`` in ascending order, by one sort and a mask.
+
+    ``np.unique`` gives the same, but its first call in a process imports
+    ``numpy.ma`` (numpy 2.4), which costs more than most calls here.
+    """
+    s = np.sort(a)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
 
 
 @lru_cache(maxsize=None)

@@ -176,7 +176,7 @@ def check_skew(cmap: CayleyMap, phi: np.ndarray) -> "SkewMorphism | SkewFailure"
         return _probe_failure(cmap, int(bad[0]), "phi(eta * mu0) is not phi(eta) * (generator)")
 
     block = max(1, (1 << 16) // d)  # rows per block; small blocks stay in cache
-    for k in np.unique(pi):
+    for k in np.flatnonzero(np.bincount(pi)):  # the values pi takes
         cols = (np.arange(d) + k) % d  # i + pi(eta) on the rows with pi(eta) = k
         rows = np.flatnonzero(pi == k)
         for start in range(0, rows.size, block):
@@ -473,11 +473,15 @@ def _propagate(
             seen = known >= 0
             ok[heads[seen & (known != images)] // N] = False
             heads, images, shifts = heads[~seen], images[~seen], shifts[~seen]
-            fresh, first, which = np.unique(heads, return_index=True, return_inverse=True)
-            ok[heads[images != images[first][which]] // N] = False
-            flat_img[fresh] = images[first]
-            flat_sh[fresh] = shifts[first]
-            arrivals.append(fresh)
+            order = np.argsort(heads, kind="stable")  # arrivals at one head, first one first
+            heads, images, shifts = heads[order], images[order], shifts[order]
+            lead = np.ones(heads.size, dtype=bool)
+            lead[1:] = heads[1:] != heads[:-1]
+            first = np.flatnonzero(lead)
+            ok[heads[images != images[first][np.cumsum(lead) - 1]] // N] = False
+            flat_img[heads[first]] = images[first]
+            flat_sh[heads[first]] = shifts[first]
+            arrivals.append(heads[first])
         frontier = np.concatenate(arrivals) if arrivals else frontier[:0]
     ok &= np.all(img >= 0, axis=1)
     ok[ok] = np.all(np.diff(np.sort(img[ok], axis=1), axis=1) > 0, axis=1)
@@ -557,7 +561,9 @@ def are_isomorphic(m1: CayleyMap, m2: CayleyMap) -> "Optional[np.ndarray]":
     Both maps must live on the same group descriptor.  The certificate sends
     ``Omega_1`` onto ``Omega_2`` and intertwines the two rotations, i.e. its
     restriction maps the first generator cycle onto a rotation of the second.
-    It is the first such automorphism in the order of ``autos.aut_group``.
+    It is the lexicographically least ``sigma(x1,y1;x2,y2)`` that does so,
+    the first in the order of ``autos.aut_group``.  Groups outside the
+    parametrized family are searched over ``brute.automorphism_perms``.
     """
     if m1.group.order != m2.group.order:
         raise MapError("maps on groups of different order cannot be compared")
@@ -570,56 +576,61 @@ def are_isomorphic(m1: CayleyMap, m2: CayleyMap) -> "Optional[np.ndarray]":
         if b1.t != b2.t or b1.map_type != b2.map_type:
             return None
     try:
-        aut = autos.aut_group(m1.group)
+        hits, _ = isomorphisms([m1], [m2])[0]
     except autos.AutomorphismError:
         from . import brute
 
         perms = brute.automorphism_perms(m1.group)
         return next((p for p in perms if _intertwines(m1, m2, p)), None)
-    rows, _ = isomorphisms(aut, [m1], [m2])[0]
-    return autos.as_perm(aut[int(rows[0])]) if rows.size else None
+    return autos.as_perm(hits[0]) if len(hits) else None
 
 
 def isomorphisms(
-    aut: autos.AutGroup, sources: "list[CayleyMap]", targets: "list[CayleyMap]"
-) -> "list[tuple[np.ndarray, np.ndarray]]":
+    sources: "list[CayleyMap]", targets: "list[CayleyMap]"
+) -> "list[tuple[autos.AutGroup, np.ndarray]]":
     """For each source map, every automorphism that carries it onto a target.
 
-    Returns one ``(rows, target)`` pair of arrays per source: row
-    ``rows[h]`` of ``aut`` maps the source's generator cycle onto a rotation
-    of the cycle of ``targets[target[h]]``; rows come in ascending order.
-    All of ``Aut(G)`` is screened: the images of ``(omega_1, omega_2)`` are
-    looked up in the sorted keys ``omega_p * N + omega_(p+1)`` of every
-    target and position (equal keys expand to their whole range), and each
-    hit is verified on all ``d`` generators.
+    Returns one ``(auts, target)`` pair per source: ``auts[h]`` maps the
+    source's generator cycle onto a rotation of the cycle of
+    ``targets[target[h]]``, in lexicographic ``(x1, y1, x2, y2)`` order
+    (then by target).  Each hit is solved, not searched: an automorphism is
+    fixed by the images of two generators whose parities span ``G/Phi(G)``
+    (every generating cycle holds two, by the Burnside basis theorem), so
+    each target of the same valency and each rotation ``p`` gives at most
+    one candidate (``autos.solve``).  Every candidate that passes the
+    family's constraints is verified on all ``d`` generators.  This is
+    ``O(k^2 d)`` candidates for ``k`` maps of valency ``d``;
+    ``AutomorphismError`` outside the parametrized family.
     """
-    N = aut.group.order
-    ds = np.array([t.d for t in targets], dtype=np.int64)
-    cycles = np.full((len(targets), int(ds.max())), -1, dtype=np.int64)
-    for j, t in enumerate(targets):
-        cycles[j, : t.d] = t.omega_idx
-    keys = np.concatenate([t.omega_idx * N + np.roll(t.omega_idx, -1) for t in targets])
-    owner = np.repeat(np.arange(len(targets)), ds)
-    pos = np.concatenate([np.arange(t.d) for t in targets])
-    order = np.argsort(keys, kind="stable")
-    keys, owner, pos = keys[order], owner[order], pos[order]
-    is_head = np.zeros(N, dtype=bool)
-    is_head[keys // N] = True
     out = []
     for src in sources:
-        w, d = src.omega_idx, src.d
-        first = aut.images(int(w[0]))
-        rows = np.flatnonzero(is_head[first])
-        probe = first[rows] * N + aut.images(int(w[1 % d]), rows)
-        lo = np.searchsorted(keys, probe, "left")
-        count = np.searchsorted(keys, probe, "right") - lo
-        at = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
-        rows, j, p = np.repeat(rows, count), owner[at], pos[at]
-        ok = ds[j] == d
-        for s in range(2, d):
-            ok[ok] = aut.images(int(w[s]), rows[ok]) == cycles[j[ok], (p[ok] + s) % d]
-        out.append((rows[ok], j[ok]))
+        G, w, d = src.group, src.omega_idx, src.d
+        same = np.array([j for j, t in enumerate(targets) if t.d == d], dtype=np.int64)
+        cycles = np.array([targets[j].omega_idx for j in same.tolist()], dtype=np.int64).reshape(-1, d)
+        s1, s2 = _spanning_positions(G, w)
+        rot = np.arange(d)
+        auts, k = autos.solve(
+            G, int(w[s1]), int(w[s2]),
+            cycles[:, (rot + s1) % d].ravel(), cycles[:, (rot + s2) % d].ravel(),
+        )
+        j, p = k // d, k % d
+        ok = np.ones(k.size, dtype=bool)
+        for s in range(d):
+            rows = np.flatnonzero(ok)
+            ok[rows] = auts.images(int(w[s]), rows) == cycles[j[rows], (p[rows] + s) % d]
+        cols = [c[ok] for c in (auts.x1, auts.y1, auts.x2, auts.y2)]
+        order = np.lexsort([j[ok]] + cols[::-1])
+        out.append((autos.AutGroup(G, *(c[order] for c in cols)), same[j[ok][order]]))
     return out
+
+
+def _spanning_positions(G: Metacyclic, omega: np.ndarray) -> "tuple[int, int]":
+    """Two positions of a generating cycle whose parities ``(x mod 2, y mod 2)``
+    span ``G/Phi(G)``; on a cyclic group (``m = 1``) one position, twice."""
+    parity = (omega // G.m % 2) * 2 + omega % G.m % 2
+    s1 = int(np.argmax(parity != 0))
+    s2 = s1 if G.m == 1 else int(np.argmax((parity != 0) & (parity != parity[s1])))
+    return s1, s2
 
 
 def _intertwines(m1: CayleyMap, m2: CayleyMap, perm: np.ndarray) -> bool:

@@ -47,25 +47,6 @@ def geom_sum_mod(s: int, u: int, mod: int) -> int:
     return total
 
 
-def solve_linear(A: int, B: int, e: int) -> "list[int]":
-    """All ``x`` in ``[0, 2**e)`` with ``A*x = B (mod 2**e)``; empty if none.
-
-    The solution count is ``gcd(A, 2**e)`` when ``gcd(A, 2**e) | B``.
-    """
-    mod = 1 << e
-    A %= mod
-    B %= mod
-    g = math.gcd(A, mod)
-    if B % g:
-        return []
-    step = mod // g
-    if step == 1:
-        x0 = 0
-    else:
-        x0 = ((B // g) * pow(A // g, -1, step)) % step
-    return [x0 + k * step for k in range(g)]
-
-
 def sqrt_lift(s: int, h: int, e: int, e_target: int) -> int:
     """Lift an odd square root of ``h`` modulo ``2**e`` to modulus ``2**e_target``.
 

@@ -32,18 +32,24 @@ production certificates rely on, so the tests can compare the two:
   against the level-synchronous, batched ``maps._propagate``;
 * ``sequential_coset_arm`` builds one ``phi`` and walks one orbit per seed
   pair of the ``t > 1`` arm of ``brute.enumerate_rbcm``, against the
-  lockstep walk over all seed pairs at once, ``brute._coset_orbits``.
+  lockstep walk over all seed pairs at once, ``brute._coset_orbits``;
+* ``scan_isomorphisms`` screens every row of ``autos.aut_group`` for the
+  automorphisms that carry one map onto another, against the solve in
+  parameter space of ``maps.isomorphisms``;
+* ``solve_linear`` lists every solution of ``A x = B (mod 2^e)``, the
+  general congruence that the odd determinants of ``autos.solve`` avoid.
 
 The sweep is quadratic in ``|G|`` and the tracing loops in Python over
 every dart; keep them to orders up to ``2^11``.
 """
 
+import math
 from typing import Iterator, Optional
 
 import numpy as np
 
 from rbcm import maps
-from rbcm.autos import AutoParams, tilde_exponents, validate
+from rbcm.autos import AutGroup, AutoParams, tilde_exponents, validate
 from rbcm.groups import Metacyclic
 from rbcm.maps import BalanceData, CayleyMap, orbit_walk
 from rbcm.twoadic import deg2
@@ -408,3 +414,64 @@ def sequential_coset_arm(
             if orbit is not None:
                 out.append(orbit)
     return out
+
+
+def scan_isomorphisms(
+    aut: AutGroup, sources: "list[CayleyMap]", targets: "list[CayleyMap]"
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """For each source map, every row of ``aut`` that carries it onto a target.
+
+    Returns one ``(rows, target)`` pair of arrays per source: row
+    ``rows[h]`` of ``aut`` maps the source's generator cycle onto a rotation
+    of the cycle of ``targets[target[h]]``; rows come in ascending order.
+    All of ``aut`` is screened: the images of ``(omega_1, omega_2)`` are
+    looked up in the sorted keys ``omega_p * N + omega_(p+1)`` of every
+    target and position (equal keys expand to their whole range), and each
+    hit is verified on all ``d`` generators.
+    """
+    N = aut.group.order
+    ds = np.array([t.d for t in targets], dtype=np.int64)
+    cycles = np.full((len(targets), int(ds.max())), -1, dtype=np.int64)
+    for j, t in enumerate(targets):
+        cycles[j, : t.d] = t.omega_idx
+    keys = np.concatenate([t.omega_idx * N + np.roll(t.omega_idx, -1) for t in targets])
+    owner = np.repeat(np.arange(len(targets)), ds)
+    pos = np.concatenate([np.arange(t.d) for t in targets])
+    order = np.argsort(keys, kind="stable")
+    keys, owner, pos = keys[order], owner[order], pos[order]
+    is_head = np.zeros(N, dtype=bool)
+    is_head[keys // N] = True
+    out = []
+    for src in sources:
+        w, d = src.omega_idx, src.d
+        first = aut.images(int(w[0]))
+        rows = np.flatnonzero(is_head[first])
+        probe = first[rows] * N + aut.images(int(w[1 % d]), rows)
+        lo = np.searchsorted(keys, probe, "left")
+        count = np.searchsorted(keys, probe, "right") - lo
+        at = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+        rows, j, p = np.repeat(rows, count), owner[at], pos[at]
+        ok = ds[j] == d
+        for s in range(2, d):
+            ok[ok] = aut.images(int(w[s]), rows[ok]) == cycles[j[ok], (p[ok] + s) % d]
+        out.append((rows[ok], j[ok]))
+    return out
+
+
+def solve_linear(A: int, B: int, e: int) -> "list[int]":
+    """All ``x`` in ``[0, 2**e)`` with ``A*x = B (mod 2**e)``; empty if none.
+
+    The solution count is ``gcd(A, 2**e)`` when ``gcd(A, 2**e) | B``.
+    """
+    mod = 1 << e
+    A %= mod
+    B %= mod
+    g = math.gcd(A, mod)
+    if B % g:
+        return []
+    step = mod // g
+    if step == 1:
+        x0 = 0
+    else:
+        x0 = ((B // g) * pow(A // g, -1, step)) % step
+    return [x0 + k * step for k in range(g)]

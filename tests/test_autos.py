@@ -23,6 +23,7 @@ from rbcm.autos import (
     validate,
 )
 from rbcm.groups import DeltaParams, Metacyclic, parse_group, plus_presentation
+from rbcm.twoadic import geom_sum_mod
 
 L1645 = Metacyclic(16, 4, 5)
 DELTA734 = DeltaParams(7, 3, 4).group()
@@ -192,6 +193,21 @@ class TestAutGroup:
             assert auts.images(G.encode(g), rows).tolist() == expected
             assert auts.images(G.encode(g))[rows].tolist() == expected
             assert perms[:, G.encode(g)].tolist() == expected
+
+    @pytest.mark.parametrize("text", GROUPS)
+    def test_image_matches_apply_with_one_sum_when_x2_is_0(self, text, monkeypatch):
+        G = parse_group(text)
+        auts = aut_group(G)
+        local = random.Random(text)
+        calls = []
+        count = lambda s, u, mod: calls.append(u) or geom_sum_mod(s, u, mod)
+        monkeypatch.setattr(autos, "geom_sum_mod", count)
+        for k in local.sample(range(len(auts)), min(len(auts), 40)):
+            p, g = auts[k], local.choice(list(G.elements()))
+            want = G.encode(autos.apply(p, g))
+            calls.clear()
+            assert autos.image(p, G.encode(g)) == want
+            assert len(calls) == (2 if p.x2 else 1)
 
     def test_sequence_protocol(self):
         auts = aut_group(L1645)

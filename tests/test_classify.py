@@ -316,9 +316,39 @@ class TestDistinct:
     def test_search_must_be_reflexive(self, monkeypatch):
         realized = [realize(7, 3, 4, z1) for z1 in range(2)]
         empty = np.array([], dtype=np.int64)
-        monkeypatch.setattr(maps, "isomorphisms", lambda aut, s, t: [(empty, empty)] * len(s))
+        monkeypatch.setattr(maps, "isomorphisms", lambda s, t: [(None, empty)] * len(s))
         with pytest.raises(InternalInconsistency, match="reflexive"):
             distinct(realized)
+
+    def test_search_must_be_symmetric(self, monkeypatch):
+        # the stub reports (0, 1) but not (1, 0); both maps are self-isomorphic
+        realized = [realize(7, 3, 4, z1) for z1 in range(2)]
+        hits = [(None, np.array([0, 1])), (None, np.array([1]))]
+        monkeypatch.setattr(maps, "isomorphisms", lambda s, t: hits)
+        with pytest.raises(InternalInconsistency, match="symmetric"):
+            distinct(realized)
+
+    def test_certificate_equals_the_scan_on_every_triple_up_to_2_14(self, monkeypatch):
+        from test_certificates import existence_triples
+
+        for a, b, c in existence_triples(14):
+            realized = [realize(a, b, c, z1, full=False) for z1 in range(1 << (a - c - 1))]
+            solved = distinct(realized)
+            with monkeypatch.context() as patch:
+                patch.setattr(maps, "isomorphisms", lambda s, t: [
+                    (None, owners)
+                    for _, owners in oracles.scan_isomorphisms(autos.aut_group(s[0].group), s, t)
+                ])
+                assert distinct(realized) == solved, (a, b, c)
+
+    def test_full_classify_scans_no_automorphism_group(self, monkeypatch):
+        def scan(group):
+            raise AssertionError(f"Aut({group}) was built")
+
+        monkeypatch.setattr(autos, "aut_group", scan)
+        out = classify(10, 4, 6, "full", workers=1)
+        assert out.all_verified and out.distinctness.pair_count == 28
+        assert out.distinctness.shift_route == out.distinctness.search_route
 
 
 class TestQuotientCrossCheck:

@@ -370,6 +370,17 @@ class TestInfoCommand:
         assert run_cli(capsys, "info", "--group", "D(7,3,4)") == semicolon
 
 
+def last_line_of_python(script: str) -> str:
+    """The last line that ``script`` prints in a fresh interpreter on ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.stdout, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_fast_classify_loads_no_oracle_module_and_no_numpy_ma():
     """``classify`` leaves ``rbcm.brute`` unloaded, and its fast level calls
     no ``np.unique``, whose first call imports ``numpy.ma`` in numpy 2."""
@@ -381,9 +392,19 @@ def test_fast_classify_loads_no_oracle_module_and_no_numpy_ma():
         "           '--verify-level', 'fast'])\n"
         "print(rc, 'rbcm.brute' in sys.modules, ('numpy.ma' in sys.modules) == before)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    assert last_line_of_python(script) == "0 False True"
+
+
+def test_full_classify_loads_no_numpy_ma():
+    """The full level (orbit identities, quotient profile and distinctness)
+    calls no ``np.unique`` or ``np.setdiff1d`` either."""
+    if last_line_of_python("import sys, rbcm.cli\nprint('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("importing rbcm alone loads numpy.ma")
+    script = (
+        "import sys\n"
+        "from rbcm.cli import main\n"
+        "rc = main(['--workers', '1', 'classify', '--a', '7', '--b', '3', '--c', '4',\n"
+        "           '--verify-level', 'full'])\n"
+        "print(rc, 'numpy.ma' in sys.modules)\n"
     )
-    assert proc.stdout.splitlines()[-1] == "0 False True", proc.stderr
+    assert last_line_of_python(script) == "0 False"

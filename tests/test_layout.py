@@ -11,13 +11,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "rbcm"
 
 ENTRY_POINTS = {
     "brute.naive_enumerate_rbcm": "oracle: the definitional scan that cross-checks enumerate_rbcm",
-    "maps.are_isomorphic": "oracle: one pair's isomorphism certificate, against maps.isomorphisms",
+    "maps.are_isomorphic": "one pair's isomorphism certificate: the least solved automorphism as a permutation",
     "autos.find_lift": "paper-lemma calculus: an explicit lift of a restricted automorphism",
     "autos.conjugate_normal_form": "paper-lemma calculus: conjugation of sigma(z,1;0,w)",
     "maps.normalize_indexing": "paper-lemma calculus: the normalized offset ell of a balanced map",
     "autos.simplified_compose_c_ge_b": "paper-lemma calculus: the reduced composition formulas",
     "twoadic.sqrt_lift": "2-adic square-root lifting, the lemma behind criterion 5",
-    "twoadic.solve_linear": "linear congruences mod 2^e, for solving isomorphisms in parameter space",
     "cli.main": "the rbcm command",
 }
 

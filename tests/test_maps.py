@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 import oracles
-from test_certificates import ANY_MAP_GROUPS, realized_maps
+from test_certificates import ANY_MAP_GROUPS, found_maps, realized_maps
 from rbcm import autos, brute, maps
 from rbcm.groups import DeltaParams, Metacyclic, PowerSubgroup, parse_group
 from rbcm.maps import (
@@ -422,22 +422,144 @@ class TestIsomorphism:
             for s in range(cm.d):
                 rotations.setdefault(tuple(np.roll(cm.omega_idx, -s).tolist()), []).append(j)
         aut = autos.aut_group(G)
+        row_of = {p: k for k, p in enumerate(aut)}
         perms = [autos.as_perm(p) for p in aut]
-        hits = maps.isomorphisms(aut, cmaps, cmaps)
+        hits = maps.isomorphisms(cmaps, cmaps)
         assert len(hits) == len(cmaps)
-        for src, (rows, targets) in zip(cmaps, hits):
+        for src, (auts, targets) in zip(cmaps, hits):
             want = sorted(
                 (k, j)
                 for k, perm in enumerate(perms)
                 for j in rotations.get(tuple(perm[src.omega_idx].tolist()), [])
             )
-            assert sorted(zip(rows.tolist(), targets.tolist())) == want
+            got = [(row_of[p], j) for p, j in zip(auts, targets.tolist())]
+            assert got == sorted(got) == want  # hits in aut_group order
             assert want
             for j, cm in enumerate(cmaps):
                 first = min((k for k, t in want if t == j), default=None)
                 perm = are_isomorphic(src, cm)
                 assert (perm is None) == (first is None)
                 assert first is None or np.array_equal(perm, perms[first])
+
+
+@lru_cache(maxsize=None)
+def automorphism_perms(G):
+    """``aut_group`` as permutations, in its row order; ``brute.automorphism_perms``
+    outside the parametrized family."""
+    try:
+        return [autos.as_perm(p) for p in autos.aut_group(G)]
+    except autos.AutomorphismError:
+        return brute.automorphism_perms(G)
+
+
+def first_intertwining(m1, m2):
+    """The automorphism ``are_isomorphic`` returned before its solve: the first
+    of ``automorphism_perms`` that carries ``m1``'s cycle onto a rotation of
+    ``m2``'s."""
+    rotations = {tuple(np.roll(m2.omega_idx, -s).tolist()) for s in range(m2.d)}
+    return next(
+        (p for p in automorphism_perms(m1.group) if tuple(p[m1.omega_idx].tolist()) in rotations),
+        None,
+    )
+
+
+def hit_list(auts, targets):
+    return [(p.x1, p.y1, p.x2, p.y2, j) for p, j in zip(auts, targets.tolist())]
+
+
+class TestIsomorphismSolver:
+    """``maps.isomorphisms`` solves for each automorphism in parameter space;
+    ``oracles.scan_isomorphisms`` screens every row of ``aut_group``."""
+
+    def test_matches_scan_on_every_class_up_to_2_14(self):
+        from test_certificates import existence_triples
+
+        triples = existence_triples(14)
+        for a, b, c in triples:
+            cmaps = [cm for cm, _ in realized_maps(a, b, c)]
+            cmaps.append(cmaps[-1].rotate(1))
+            aut = autos.aut_group(cmaps[0].group)
+            solved = maps.isomorphisms(cmaps, cmaps)
+            scanned = oracles.scan_isomorphisms(aut, cmaps, cmaps)
+            for (auts, targets), (rows, owners) in zip(solved, scanned):
+                want = sorted(hit_list([aut[int(k)] for k in rows], owners))
+                assert hit_list(auts, targets) == want, (a, b, c)
+        assert len(triples) == 11
+
+    @pytest.mark.parametrize("text", ["D(7,3,4)", "L(16,2,9)"])
+    def test_finds_the_automorphism_that_made_the_target(self, text):
+        G = parse_group(text)
+        if text == "D(7,3,4)":
+            sources = [cm for cm, _ in realized_maps(7, 3, 4)]
+        else:
+            sources = [fm.cmap for fm in brute.enumerate_rbcm(G)]
+        rng = random.Random(17)
+        for tau in rng.sample(list(autos.aut_group(G)), 12):
+            src = rng.choice(sources)
+            target = CayleyMap(G, np.roll(autos.as_perm(tau)[src.omega_idx], rng.randrange(src.d)))
+            (stabilizer, _), = maps.isomorphisms([src], [src])
+            (auts, targets), = maps.isomorphisms([src], [target])
+            assert tau in set(auts)
+            # every hit is tau after an automorphism of the source map
+            assert set(auts) == {autos.compose(tau, alpha) for alpha in stabilizer}
+            assert targets.tolist() == [0] * len(auts)
+
+    def test_swapped_generators_give_no_hit(self):
+        for src, _ in realized_maps(7, 3, 4):
+            w = src.omega_idx.copy()
+            w[[0, 1]] = w[[1, 0]]
+            swapped = CayleyMap(src.group, w)
+            (auts, targets), = maps.isomorphisms([src], [swapped])
+            assert len(auts) == 0 and targets.size == 0
+            (rows, _), = oracles.scan_isomorphisms(autos.aut_group(src.group), [src], [swapped])
+            assert rows.size == 0
+
+    def test_rank_one_solves_only_x1(self):
+        Z16 = Metacyclic(16, 1, 1)
+        auts, k = autos.solve(Z16, 3, 3, np.array([9, 5, 6]), np.array([9, 5, 6]))
+        # 3 x1 = 9, 5, 6 (mod 16): x1 = 3, 7 and the even 2, which no automorphism has
+        assert (auts.x1.tolist(), k.tolist()) == ([3, 7], [0, 1])
+        assert auts.y1.tolist() == auts.x2.tolist() == auts.y2.tolist() == [0, 0]
+        (hits, _), = maps.isomorphisms([cyclic_map(Z16, [1, 15])], [cyclic_map(Z16, [5, 11])])
+        assert [(p.x1, p.y1, p.x2, p.y2) for p in hits] == [(5, 0, 0, 0), (11, 0, 0, 0)]
+
+    def test_sources_must_span_the_frattini_quotient(self):
+        G = DeltaParams(7, 3, 4).group()
+        even = np.array([G.code(2, 1)])
+        with pytest.raises(autos.AutomorphismError, match="span"):
+            autos.solve(G, G.code(1, 0), G.code(3, 0), even, even)
+
+    def test_no_spanning_pair_falls_back_to_brute_automorphisms(self):
+        # L(1,8,1) is Z8 written as <b>: no parity of x to span with, and
+        # aut_group(L(1,8,1)) is empty, so before the solve a map was not
+        # even isomorphic to itself
+        for cm, _ in found_maps("L(1,8,1)"):
+            with pytest.raises(autos.AutomorphismError, match="span"):
+                maps.isomorphisms([cm], [cm])
+            assert np.array_equal(are_isomorphic(cm, cm), np.arange(8))
+
+    def test_are_isomorphic_returns_the_first_automorphism(self):
+        from rbcm.classify import realize
+
+        Z8 = Metacyclic(8, 1, 1)
+        pairs = [
+            (cyclic_map(Z5, [1, 2, 4, 3]), cyclic_map(Z5, [2, 4, 3, 1])),
+            (cyclic_map(Z5, [2, 4, 3, 1]), cyclic_map(Z5, [1, 2, 4, 3])),
+            (cyclic_map(Z8, [1, 3, 5, 7]), cyclic_map(Z8, [3, 1, 7, 5])),
+            (cyclic_map(Z8, [1, 3, 5, 7]), cyclic_map(Z8, [1, 7, 5, 3])),
+            (realize(7, 3, 4, 0).cmap, realize(7, 3, 4, z=35).cmap),
+            (realize(7, 3, 4, 0).cmap, realize(7, 3, 4, 1).cmap),
+        ]
+        pairs += [(m1, m2) for m1, _ in found_maps("Z2xZ4") for m2, _ in found_maps("Z2xZ4")]
+        pairs += [(m, m.rotate(2)) for m, _ in realized_maps(7, 3, 4)]
+        nonempty = 0
+        for m1, m2 in pairs:
+            want = first_intertwining(m1, m2)
+            got = are_isomorphic(m1, m2)
+            assert (got is None) == (want is None)
+            nonempty += got is not None
+            assert got is None or np.array_equal(got, want)
+        assert 0 < nonempty < len(pairs)
 
 
 class TestQuotient:
