@@ -111,13 +111,18 @@ def _constraints(G: Metacyclic, x1, y1, x2, y2) -> "dict[str, object]":
     at, bt, ct = tilde_exponents(G)
     if G.order == 1:
         return {}
-    if bt == 0:
-        # m = 1: the group is cyclic <a>; only x1 matters.
-        return {"x1": x1 % 2 == 1}
-    return {
-        "det": (x1 * y2 - x2 * y1) % 2 == 1,
+    held = {
         "y1": y1 % (1 << max(bt - ct, 0)) == 0,
         "x2": x2 % (1 << max(at - bt, 0)) == 0,
+    }
+    # A cyclic group has one odd slot; "y1" and "x2" keep its trivial generator fixed.
+    if bt == 0:  # m = 1: <a>
+        return {"x1": x1 % 2 == 1, **held}
+    if at == 0:  # n = 1: <b>
+        return {"y2_odd": y2 % 2 == 1, **held}
+    return {
+        "det": (x1 * y2 - x2 * y1) % 2 == 1,
+        **held,
         "y2": (y2 - _y2_target(G, y1)) % (1 << max(min(at - ct, bt), 0)) == 0,
     }
 
@@ -145,6 +150,7 @@ def validate(params: AutoParams) -> ValidationReport:
     target = int(_y2_target(G, y1))
     messages = {
         "x1": lambda: f"x1 must be odd, got {x1}",
+        "y2_odd": lambda: f"y2 must be odd, got {y2}",
         "det": lambda: f"determinant x1*y2 - x2*y1 = {x1 * y2 - x2 * y1} is even",
         "y1": lambda: f"deg2(y1)={deg2(y1)} < bt-ct={bt - ct}",
         "x2": lambda: f"deg2(x2)={deg2(x2)} < at-bt={at - bt}",
@@ -396,13 +402,16 @@ def aut_group(group: Metacyclic) -> AutGroup:
     ``2^(bt-ct)`` and ``2^(at-bt)``, and ``y2`` over its target modulo
     ``2^mu``, ``mu = min(at-ct, bt)`` (the target depends on ``y1`` in the
     corner case); one vectorised filter then keeps the odd determinants.
+    A cyclic group has the one odd slot of ``_constraints``: ``x1`` of
+    ``<a>`` (``m = 1``) or ``y2`` of ``<b>`` (``n = 1``).
     """
     at, bt, ct = tilde_exponents(group)
     n, m = group.n, group.m
+    if bt == 0 or at == 0:
+        odd = np.arange(1, max(n, m), 2, dtype=np.int64)
+        zero = np.zeros_like(odd)
+        return AutGroup(group, *((odd, zero, zero, zero) if bt == 0 else (zero, zero, zero, odd)))
     x1 = np.arange(1, n, 2, dtype=np.int64)
-    if bt == 0:
-        zero = np.zeros_like(x1)
-        return AutGroup(group, x1, zero, zero, zero)
     y1 = np.arange(0, m, 1 << max(bt - ct, 0), dtype=np.int64)
     x2 = np.arange(0, n, 1 << max(at - bt, 0), dtype=np.int64)
     mu = max(min(at - ct, bt), 0)

@@ -34,8 +34,6 @@ where one is read: the full level's orbit identities and quotient profile.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional
@@ -427,29 +425,7 @@ class ClassifyOutcome:
         return all(r.verified for r in self.realized)
 
 
-def _realize_task(
-    args: "tuple[int, int, int, int, bool]",
-) -> "RealizedRbcm | ClassificationSolution":
-    """One class; at the fast level only its solution, so that no map outlives the task."""
-    a, b, c, z1, full = args
-    realized = realize(a, b, c, z1, full=full)
-    return realized if full else realized.solution
-
-
-def default_workers() -> int:
-    """``RBCM_WORKERS`` if set, else the core count; ValueError if it is not an integer."""
-    env = os.environ.get("RBCM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"RBCM_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
-def classify(
-    a: int, b: int, c: int, verify_level: str = "full", workers: "Optional[int]" = None
-) -> ClassifyOutcome:
+def classify(a: int, b: int, c: int, verify_level: str = "full") -> ClassifyOutcome:
     """Solve, optionally fully verify, and certify distinctness.
 
     ``verify_level`` is ``"fast"`` (residues, one cycle walked by the rule
@@ -459,7 +435,9 @@ def classify(
     kernel generation checks, genus, the quotient profile and pairwise
     non-isomorphism).  Generation is certified in closed form at both
     levels (see ``realize``); only the quotient profile computes a closure.
-    Results are ordered by ``z1`` regardless of the worker count.
+    Classes are realized one at a time, in ``z1`` order.  The fast level
+    keeps only each class's solution, so that no map, and no ``|G|``-sized
+    position table of one, outlives its class.
     """
     if verify_level not in ("fast", "full"):
         raise GroupError(f"unknown verify level {verify_level!r}")
@@ -467,17 +445,11 @@ def classify(
     if not report.existence:
         return ClassifyOutcome(report, [], [], [], None)
     _check_a_in_range(a)
-    full = verify_level == "full"
-    tasks = [(a, b, c, z1, full) for z1 in range(1 << (a - c - 1))]
-    nworkers = workers if workers is not None else default_workers()
-    nworkers = max(1, min(nworkers, len(tasks)))
-    if nworkers == 1:
-        results = [_realize_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(_realize_task, tasks))
-    if not full:
-        return ClassifyOutcome(report, results, [], [], None)
-    profiles = [quotient_cross_check(r) for r in results]
-    cert = distinct(results)
-    return ClassifyOutcome(report, [r.solution for r in results], results, profiles, cert)
+    z1s = range(1 << (a - c - 1))
+    if verify_level == "fast":
+        solutions = [realize(a, b, c, z1, full=False).solution for z1 in z1s]
+        return ClassifyOutcome(report, solutions, [], [], None)
+    realized = [realize(a, b, c, z1) for z1 in z1s]
+    profiles = [quotient_cross_check(r) for r in realized]
+    cert = distinct(realized)
+    return ClassifyOutcome(report, [r.solution for r in realized], realized, profiles, cert)

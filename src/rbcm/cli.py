@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import maps
-from .classify import InternalInconsistency, check_necessary, default_workers
+from .classify import InternalInconsistency, check_necessary
 from .classify import classify as run_classify
 from .groups import (
     DeltaParams,
@@ -65,9 +65,7 @@ def _parse_xi(G: Metacyclic, text: str) -> PowerSubgroup:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    outcome = run_classify(
-        args.a, args.b, args.c, verify_level=args.verify_level, workers=args.workers
-    )
+    outcome = run_classify(args.a, args.b, args.c, verify_level=args.verify_level)
     doc = {
         "command": "classify",
         "a": args.a,
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel workers (default: RBCM_WORKERS or all cores)",
+        help="accepted for compatibility with older command lines; has no effect",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -321,12 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "Optional[list[str]]" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers is None:
-        try:
-            args.workers = default_workers()
-        except ValueError as exc:
-            _emit({"error": str(exc)}, f"usage error: {exc}")
-            return EXIT_USAGE
     try:
         return args.func(args)
     except (GroupError, MapError, OSError, json.JSONDecodeError) as exc:

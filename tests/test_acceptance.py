@@ -24,7 +24,6 @@ from rbcm.groups import GroupError, Metacyclic, PowerSubgroup, index2_subgroups
 from rbcm.twoadic import deg2, sqrt_lift
 
 SEED = 0xBA5E
-WORKERS = int(os.environ.get("RBCM_WORKERS", "0")) or None
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -34,12 +33,12 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def full_734():
-    return classify(7, 3, 4, verify_level="full", workers=WORKERS)
+    return classify(7, 3, 4, verify_level="full")
 
 
 @pytest.fixture(scope="module")
 def full_835():
-    return classify(8, 3, 5, verify_level="full", workers=WORKERS)
+    return classify(8, 3, 5, verify_level="full")
 
 
 def test_criterion_1_headline_count(full_734):
@@ -67,8 +66,8 @@ def test_criterion_2_count_scaling(full_835):
         with pytest.raises(GroupError):
             classify(*bad)
     out_835 = full_835
-    out_945 = classify(9, 4, 5, verify_level="full", workers=WORKERS)
-    out_1156 = classify(11, 5, 6, verify_level="full", workers=WORKERS)
+    out_945 = classify(9, 4, 5, verify_level="full")
+    out_1156 = classify(11, 5, 6, verify_level="full")
     ok = (
         len(out_835.solutions) == 4
         and out_835.all_verified

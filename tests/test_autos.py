@@ -1,5 +1,6 @@
 """Tests for parametrized automorphisms: validation, composition, restriction."""
 
+import itertools
 import random
 
 import numpy as np
@@ -208,6 +209,19 @@ class TestAutGroup:
             calls.clear()
             assert autos.image(p, G.encode(g)) == want
             assert len(calls) == (2 if p.x2 else 1)
+
+    @pytest.mark.parametrize("text", ["L(1,8,1)", "L(1,16,1)", "Z8"])
+    def test_cyclic_group_rows_equal_brute_force(self, text):
+        # n = 1 (<b>: b -> b^y2, y2 odd) or m = 1 (<a>: a -> a^x1, x1 odd);
+        # the trivial generator stays fixed
+        G = parse_group(text)
+        auts = aut_group(G)
+        perms = {tuple(autos.as_perm(p).tolist()) for p in auts}
+        assert len(perms) == len(auts) == len(brute.automorphism_perms(G))
+        assert perms == {tuple(p.tolist()) for p in brute.automorphism_perms(G)}
+        slots = itertools.product(range(G.n), range(G.m), range(G.n), range(G.m))
+        accepted = {t for t in slots if validate(AutoParams(*t, G))}
+        assert accepted == {(p.x1, p.y1, p.x2, p.y2) for p in auts}
 
     def test_sequence_protocol(self):
         auts = aut_group(L1645)

@@ -269,7 +269,7 @@ class TestRealize:
             raise AssertionError("the group was built")
 
         monkeypatch.setattr(DeltaParams, "group", allocate)
-        for run in (lambda: realize(a, b, c, 0), lambda: classify(a, b, c, "fast", workers=1)):
+        for run in (lambda: realize(a, b, c, 0), lambda: classify(a, b, c, "fast")):
             with pytest.raises(GroupError, match=r"a <= 31"):
                 run()
         # a = 31 passes the bound and goes on to build the group
@@ -346,7 +346,7 @@ class TestDistinct:
             raise AssertionError(f"Aut({group}) was built")
 
         monkeypatch.setattr(autos, "aut_group", scan)
-        out = classify(10, 4, 6, "full", workers=1)
+        out = classify(10, 4, 6, "full")
         assert out.all_verified and out.distinctness.pair_count == 28
         assert out.distinctness.shift_route == out.distinctness.search_route
 
@@ -369,17 +369,10 @@ class TestClassify:
         assert out.realized == []
 
     def test_full_level(self):
-        out = classify(7, 3, 4, verify_level="full", workers=1)
+        out = classify(7, 3, 4, verify_level="full")
         assert out.all_verified
         assert len(out.profiles) == 4
         assert out.distinctness.pair_count == 6
-
-    def test_workers_do_not_change_results(self):
-        seq = classify(7, 3, 4, verify_level="full", workers=1)
-        par = classify(7, 3, 4, verify_level="full", workers=2)
-        assert [s.to_json_dict() for s in seq.solutions] == [
-            s.to_json_dict() for s in par.solutions
-        ]
 
     def test_unknown_level(self):
         with pytest.raises(GroupError, match="verify level"):

@@ -13,7 +13,7 @@ import pytest
 
 from rbcm import brute, maps
 from rbcm.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_USAGE, EXIT_VERIFY_FAILED, main
-from rbcm.classify import InternalInconsistency, default_workers, realize
+from rbcm.classify import InternalInconsistency, realize
 from rbcm.groups import Metacyclic
 from rbcm.maps import VerificationError, canonical_json, map_to_json_dict
 
@@ -83,14 +83,6 @@ class TestClassifyCommand:
         assert doc["count"] == 0
         assert "c > b" in doc["reason"]
 
-    def test_bad_workers_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("RBCM_WORKERS", "abc")
-        code, doc, _ = run_cli(capsys, "classify", "--a", "7", "--b", "3", "--c", "4")
-        assert code == 2
-        assert "RBCM_WORKERS" in doc["error"]
-        with pytest.raises(ValueError, match="RBCM_WORKERS"):
-            default_workers()
-
     @pytest.mark.parametrize(
         "error, code",
         [(VerificationError("tampered check"), EXIT_VERIFY_FAILED),
@@ -143,8 +135,9 @@ class TestClassifyCommand:
         assert "a <= 31" in doc["error"]
 
     # sha256 of the stdout of ``rbcm --workers W classify --a A --b B --c C
-    # --verify-level full``, the same for W = 1 and 2.  Only a change meant to
-    # alter that output may regenerate them, with
+    # --verify-level full``, the same for W = 1 and 2: the flag still parses
+    # and selects nothing.  Only a change meant to alter that output may
+    # regenerate them, with
     #   PYTHONPATH=src python -m rbcm.cli --workers 1 classify \
     #       --a 7 --b 3 --c 4 --verify-level full | sha256sum
     FULL_STDOUT_SHA256 = {
@@ -393,6 +386,20 @@ def test_fast_classify_loads_no_oracle_module_and_no_numpy_ma():
         "print(rc, 'rbcm.brute' in sys.modules, ('numpy.ma' in sys.modules) == before)\n"
     )
     assert last_line_of_python(script) == "0 False True"
+
+
+def test_classify_runs_in_one_process():
+    """``classify`` starts no worker process at either level, whatever
+    ``--workers`` says: no process is reaped and no pool module is loaded."""
+    script = (
+        "import resource, sys\n"
+        "from rbcm.cli import main\n"
+        "rcs = [main(['--workers', '2', 'classify', '--a', '7', '--b', '3', '--c', '4',\n"
+        "             '--verify-level', level]) for level in ('fast', 'full')]\n"
+        "pools = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
+        "print(rcs, pools, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    assert last_line_of_python(script) == "[0, 0] [] 0"
 
 
 def test_full_classify_loads_no_numpy_ma():

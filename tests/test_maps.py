@@ -530,9 +530,7 @@ class TestIsomorphismSolver:
             autos.solve(G, G.code(1, 0), G.code(3, 0), even, even)
 
     def test_no_spanning_pair_falls_back_to_brute_automorphisms(self):
-        # L(1,8,1) is Z8 written as <b>: no parity of x to span with, and
-        # aut_group(L(1,8,1)) is empty, so before the solve a map was not
-        # even isomorphic to itself
+        # L(1,8,1) is Z8 written as <b>: no parity of x to span with
         for cm, _ in found_maps("L(1,8,1)"):
             with pytest.raises(autos.AutomorphismError, match="span"):
                 maps.isomorphisms([cm], [cm])
